@@ -111,6 +111,124 @@ linalg::Matrix augment_embedding(const linalg::Matrix& u,
   return out;
 }
 
+void seal_report(const graphs::Graph& input_graph, CirStagReport& report) {
+  report.node_score_mean = mean_node_score(report.node_scores);
+  obs::PhaseChecksums& c = report.checksums;
+  c.input_graph = checksum_graph(input_graph);
+  c.embedding = checksum_matrix(report.input_embedding);
+  c.manifold_x = checksum_graph(report.manifold_x);
+  c.manifold_y = checksum_graph(report.manifold_y);
+  c.eigenvalues = obs::fnv1a_doubles(report.eigenvalues);
+  c.node_scores = obs::fnv1a_doubles(report.node_scores);
+  c.edge_scores = obs::fnv1a_doubles(report.edge_scores);
+  check_graph_finite("pipeline.input_graph", input_graph);
+  obs::health_check_finite("phase.embedding", report.input_embedding.data());
+  check_graph_finite("phase.manifold_x", report.manifold_x);
+  check_graph_finite("phase.manifold_y", report.manifold_y);
+  obs::health_check_finite("phase.dmd.eigenvalues", report.eigenvalues);
+  obs::health_check_finite("phase.scores.node_scores", report.node_scores);
+  obs::health_check_finite("phase.scores.edge_scores", report.edge_scores);
+}
+
+CirStagReport run_pipeline(const CirStagConfig& config,
+                           const graphs::Graph& input_graph,
+                           const linalg::Matrix& node_features,
+                           const linalg::Matrix& output_embedding,
+                           graphs::LaplacianSolverCache& cache,
+                           const PipelineHooks& hooks) {
+  if (input_graph.num_nodes() != output_embedding.rows())
+    throw std::invalid_argument(
+        "CirSTAG pipeline: graph nodes != embedding rows");
+  if (input_graph.num_nodes() == 0)
+    throw std::invalid_argument("CirSTAG pipeline: empty graph");
+  if (!node_features.empty() &&
+      node_features.rows() != input_graph.num_nodes())
+    throw std::invalid_argument(
+        "CirSTAG pipeline: graph nodes != feature rows");
+  obs::health_check_finite("pipeline.output_embedding",
+                           output_embedding.data());
+
+  CirStagReport report;
+  report.timings.threads = runtime::global_pool().num_threads();
+  obs::WallTimer timer;
+  runtime::TaskTimer task_timer;
+  const auto end_phase = [&](double& seconds, double& busy_seconds) {
+    seconds = timer.elapsed_seconds();
+    busy_seconds = task_timer.busy_seconds();
+    task_timer.reset();
+    timer.reset();
+  };
+
+  // Phase 1: input spectral embedding (Eq. 4), augmented with the
+  // standardized node features so the input manifold reflects both
+  // structure and feature proximity. The GNN's own embeddings are the
+  // output side; they are already low-dimensional.
+  if (config.use_dimension_reduction) {
+    const obs::TraceSpan span("phase.embedding", "pipeline");
+    const runtime::ScopedTaskTimer scope(task_timer);
+    linalg::Matrix computed;
+    if (hooks.spectral == nullptr)
+      computed = spectral_embedding(input_graph, config.embedding);
+    const linalg::Matrix& u =
+        hooks.spectral != nullptr ? *hooks.spectral : computed;
+    if (hooks.spectral_out != nullptr) *hooks.spectral_out = u;
+    if (!node_features.empty() && config.feature_weight > 0.0) {
+      report.input_embedding = augment_embedding(
+          u, apply_feature_stats(node_features,
+                                 fit_feature_stats(node_features,
+                                                   config.feature_weight)));
+    } else {
+      report.input_embedding = u;
+    }
+  }
+  end_phase(report.timings.embedding_seconds,
+            report.timings.embedding_busy_seconds);
+
+  // Phase 2: kNN + PGM sparsification on both sides. Without dimension
+  // reduction the raw input graph itself serves as the input manifold
+  // (Fig. 4 ablation).
+  const auto build = [&](const linalg::Matrix& embedding, ManifoldSide side) {
+    return hooks.manifold ? hooks.manifold(embedding, side)
+                          : build_manifold(embedding, config.manifold, &cache);
+  };
+  {
+    const runtime::ScopedTaskTimer scope(task_timer);
+    {
+      const obs::TraceSpan span("phase.manifold_x", "pipeline");
+      report.manifold_x =
+          config.use_dimension_reduction
+              ? build(report.input_embedding, ManifoldSide::input)
+              : input_graph;
+    }
+    {
+      const obs::TraceSpan span("phase.manifold_y", "pipeline");
+      report.manifold_y = build(output_embedding, ManifoldSide::output);
+    }
+  }
+  end_phase(report.timings.manifold_seconds,
+            report.timings.manifold_busy_seconds);
+
+  // Phase 3: DMD spectrum + stability scores (Algorithm 1, steps 6-11).
+  StabilityResult stab;
+  {
+    const runtime::ScopedTaskTimer scope(task_timer);
+    stab = stability_scores(
+        report.manifold_x, report.manifold_y,
+        hooks.stability != nullptr ? *hooks.stability : config.stability,
+        &cache);
+  }
+  end_phase(report.timings.stability_seconds,
+            report.timings.stability_busy_seconds);
+
+  report.node_scores = std::move(stab.node_scores);
+  report.edge_scores = std::move(stab.edge_scores);
+  report.eigenvalues = std::move(stab.eigenvalues);
+  report.weighted_subspace = std::move(stab.weighted_subspace);
+  if (hooks.stability_out != nullptr) *hooks.stability_out = std::move(stab);
+  seal_report(input_graph, report);
+  return report;
+}
+
 CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
                                const linalg::Matrix& output_embedding) const {
   return analyze(input_graph, linalg::Matrix{}, output_embedding);
@@ -119,16 +237,6 @@ CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
 CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
                                const linalg::Matrix& node_features,
                                const linalg::Matrix& output_embedding) const {
-  if (input_graph.num_nodes() != output_embedding.rows())
-    throw std::invalid_argument(
-        "CirStag::analyze: graph nodes != embedding rows");
-  if (input_graph.num_nodes() == 0)
-    throw std::invalid_argument("CirStag::analyze: empty graph");
-  if (!node_features.empty() &&
-      node_features.rows() != input_graph.num_nodes())
-    throw std::invalid_argument(
-        "CirStag::analyze: graph nodes != feature rows");
-
   if (config_.threads != 0) runtime::set_global_threads(config_.threads);
 
   static const obs::Counter analyze_runs("pipeline.analyze_runs");
@@ -139,104 +247,13 @@ CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
   // Health events recorded from here until the end of the call belong to
   // this run's report.
   const std::uint64_t health_begin = obs::HealthMonitor::global().next_index();
-
-  CirStagReport report;
-  report.checksums.input_graph = checksum_graph(input_graph);
-  check_graph_finite("analyze.input_graph", input_graph);
-  obs::health_check_finite("analyze.output_embedding", output_embedding.data());
-  report.timings.threads = runtime::global_pool().num_threads();
-  obs::WallTimer timer;
-  runtime::TaskTimer task_timer;
-
-  // Phase 1: input spectral embedding (Eq. 4), optionally augmented with
-  // the standardized node features so the input manifold reflects both
-  // structure and feature proximity. The GNN's own embeddings are the
-  // output side; they are already low-dimensional.
-  if (config_.use_dimension_reduction) {
-    const obs::TraceSpan span("phase.embedding", "pipeline");
-    const runtime::ScopedTaskTimer scope(task_timer);
-    const linalg::Matrix u =
-        spectral_embedding(input_graph, config_.embedding);
-    if (!node_features.empty() && config_.feature_weight > 0.0) {
-      const linalg::Matrix f = apply_feature_stats(
-          node_features,
-          fit_feature_stats(node_features, config_.feature_weight));
-      report.input_embedding = augment_embedding(u, f);
-    } else {
-      report.input_embedding = u;
-    }
-  }
-  report.checksums.embedding = checksum_matrix(report.input_embedding);
-  obs::health_check_finite("phase.embedding", report.input_embedding.data());
-  report.timings.embedding_seconds = timer.elapsed_seconds();
-  report.timings.embedding_busy_seconds = task_timer.busy_seconds();
-  task_timer.reset();
-  timer.reset();
-
-  // Cross-phase solver cache: the resistance sketches of Phase 2 and the
-  // L_Y solver of Phase 3 key their solvers here, so a manifold reused
-  // across phases is assembled once.
-  graphs::LaplacianSolverCache solver_cache;
-  graphs::LaplacianSolverCache* cache =
-      config_.use_solver_cache ? &solver_cache : nullptr;
-
-  // Phase 2: kNN + PGM sparsification on both sides. Without dimension
-  // reduction the raw input graph itself serves as the input manifold
-  // (Fig. 4 ablation).
-  {
-    const runtime::ScopedTaskTimer scope(task_timer);
-    {
-      const obs::TraceSpan span("phase.manifold_x", "pipeline");
-      if (config_.use_dimension_reduction) {
-        report.manifold_x =
-            build_manifold(report.input_embedding, config_.manifold, cache);
-      } else {
-        report.manifold_x = input_graph;
-      }
-    }
-    {
-      const obs::TraceSpan span("phase.manifold_y", "pipeline");
-      report.manifold_y =
-          build_manifold(output_embedding, config_.manifold, cache);
-    }
-  }
+  graphs::LaplacianSolverCache cache;
+  CirStagReport report = run_pipeline(config_, input_graph, node_features,
+                                      output_embedding, cache);
   static const obs::Gauge mx_edges("pipeline.manifold_x_edges");
   static const obs::Gauge my_edges("pipeline.manifold_y_edges");
   mx_edges.set(static_cast<double>(report.manifold_x.num_edges()));
   my_edges.set(static_cast<double>(report.manifold_y.num_edges()));
-  report.checksums.manifold_x = checksum_graph(report.manifold_x);
-  report.checksums.manifold_y = checksum_graph(report.manifold_y);
-  check_graph_finite("phase.manifold_x", report.manifold_x);
-  check_graph_finite("phase.manifold_y", report.manifold_y);
-  report.timings.manifold_seconds = timer.elapsed_seconds();
-  report.timings.manifold_busy_seconds = task_timer.busy_seconds();
-  task_timer.reset();
-  timer.reset();
-
-  // Phase 3: DMD spectrum + stability scores (Algorithm 1, steps 6-11).
-  StabilityResult stab;
-  {
-    const runtime::ScopedTaskTimer scope(task_timer);
-    stab = stability_scores(report.manifold_x, report.manifold_y,
-                            config_.stability, cache);
-  }
-  report.timings.stability_seconds = timer.elapsed_seconds();
-  report.timings.stability_busy_seconds = task_timer.busy_seconds();
-
-  report.node_scores = std::move(stab.node_scores);
-  report.edge_scores = std::move(stab.edge_scores);
-  report.eigenvalues = std::move(stab.eigenvalues);
-  report.weighted_subspace = std::move(stab.weighted_subspace);
-  report.node_score_mean = mean_node_score(report.node_scores);
-
-  report.checksums.eigenvalues =
-      obs::fnv1a_doubles(report.eigenvalues);
-  report.checksums.node_scores = obs::fnv1a_doubles(report.node_scores);
-  report.checksums.edge_scores = obs::fnv1a_doubles(report.edge_scores);
-  obs::health_check_finite("phase.dmd.eigenvalues", report.eigenvalues);
-  obs::health_check_finite("phase.scores.node_scores", report.node_scores);
-  obs::health_check_finite("phase.scores.edge_scores", report.edge_scores);
-
   report.health = obs::HealthMonitor::global().collect_since(health_begin);
   return report;
 }

@@ -1,11 +1,13 @@
 #pragma once
 
+#include <functional>
 #include <span>
 
 #include "core/manifold.hpp"
 #include "core/spectral_embedding.hpp"
 #include "core/stability.hpp"
 #include "graphs/graph.hpp"
+#include "graphs/solver_cache.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/health.hpp"
 #include "obs/manifest.hpp"
@@ -34,11 +36,6 @@ struct CirStagConfig {
   /// bit-identical at every setting — the runtime's chunked reductions fix
   /// chunk boundaries independent of thread count.
   std::size_t threads = 0;
-  /// Share one Laplacian-solver cache across the manifold and stability
-  /// phases so each distinct manifold is assembled/factored once per
-  /// analyze(). Purely an assembly cache: scores are bit-identical with it
-  /// on or off.
-  bool use_solver_cache = true;
 };
 
 /// Wall-clock per phase (Fig. 5 scalability series), plus the summed busy
@@ -73,10 +70,14 @@ struct CirStagReport {
   graphs::Graph manifold_y;
   linalg::Matrix input_embedding;    ///< U_M (empty when reduction disabled)
   PhaseTimings timings;
-  /// Numerical-health events recorded during this analyze() call (NaN/Inf
-  /// sentinels, unconverged solves, Ritz residuals, …). health.ok() means
-  /// nothing above info severity fired. Empty when the global HealthMonitor
-  /// is disabled.
+  /// Numerical-health events recorded while this report was produced
+  /// (NaN/Inf sentinels, unconverged solves, Ritz residuals, …). health.ok()
+  /// means nothing above info severity fired. The window is the call that
+  /// produced the report: one analyze(), one sweep-baseline capture or
+  /// snapshot restore, or — for sweep variants, which run concurrently
+  /// against the one global HealthMonitor — the whole SweepEngine::run()
+  /// call, shared by every variant of that call. Empty when the global
+  /// HealthMonitor is disabled.
   obs::HealthReport health;
   /// FNV-1a checksums of each phase boundary's produced doubles — the run
   /// manifest's per-phase provenance (equal checksums certify bitwise-equal
@@ -104,10 +105,7 @@ struct CirStagReport {
 
 /// Column standardization used by the Phase-1 feature augmentation: per-
 /// column mean and multiplier (feature_weight / sd, or 0 for a constant
-/// column, which is dropped to zero). analyze() refits these on every call;
-/// the sweep engine's exact mode matches that, while its fast mode keeps
-/// the baseline frame so untouched rows stay bitwise stable (see
-/// SweepOptions::baseline_feature_frame).
+/// column, which is dropped to zero), refit on every pipeline run.
 struct FeatureColumnStats {
   std::vector<double> mean;
   std::vector<double> scale;
@@ -127,6 +125,57 @@ struct FeatureColumnStats {
 /// embedding.
 [[nodiscard]] linalg::Matrix augment_embedding(const linalg::Matrix& u,
                                                const linalg::Matrix& f);
+
+/// Which side's manifold a Phase-2 builder is asked for.
+enum class ManifoldSide : std::uint8_t { input, output };
+
+/// The points where a run_pipeline caller departs from analyze(). The sweep
+/// engine uses them for what really differs per variant: reusing the
+/// baseline spectral embedding, capturing or delta-updating the kNN graphs,
+/// and the fast-mode Phase-3 overrides. Every default is analyze()'s own
+/// behaviour.
+struct PipelineHooks {
+  /// Phase 1: the input graph's spectral embedding, already computed.
+  /// Null = compute it.
+  const linalg::Matrix* spectral = nullptr;
+  /// Receives the Phase-1 spectral embedding (before the feature channel).
+  linalg::Matrix* spectral_out = nullptr;
+  /// Phase 2: builds one side's manifold from its embedding. Empty =
+  /// build_manifold(embedding, config.manifold, &cache).
+  std::function<graphs::Graph(const linalg::Matrix&, ManifoldSide)> manifold;
+  /// Phase 3 options. Null = config.stability.
+  const StabilityOptions* stability = nullptr;
+  /// Receives what is left of the Phase-3 result once the report took the
+  /// scores (raw eigenbasis, executed sweep count).
+  StabilityResult* stability_out = nullptr;
+};
+
+/// Algorithm 1, Phases 1-3, plus report assembly: the one implementation
+/// behind CirStag::analyze, the sweep-engine baseline and every sweep
+/// variant. Phase 1 is the spectral embedding augmented with the
+/// standardized features (skipped without dimension reduction, when the
+/// input graph itself is the input manifold); Phase 2 the two manifolds;
+/// Phase 3 the DMD spectrum and scores. Records PhaseTimings and ends with
+/// seal_report. `cache` keys the Phase-2 sketch solvers and the Phase-3 L_Y
+/// solver, so a manifold reused across phases is assembled once.
+///
+/// Never resizes the thread pool (sweep variants call this from inside a
+/// parallel region; only the public entry points set the width) and leaves
+/// CirStagReport::health empty: the caller owns the health window.
+[[nodiscard]] CirStagReport run_pipeline(const CirStagConfig& config,
+                                         const graphs::Graph& input_graph,
+                                         const linalg::Matrix& node_features,
+                                         const linalg::Matrix& output_embedding,
+                                         graphs::LaplacianSolverCache& cache,
+                                         const PipelineHooks& hooks = {});
+
+/// Provenance of a finished report: fills the seven per-phase checksums and
+/// node_score_mean from the report's own contents (`input_graph` is the
+/// graph it was computed on, which the report does not keep) and runs the
+/// NaN/Inf sentinels over every phase output. run_pipeline ends with it; a
+/// restored snapshot baseline re-runs it, so its checksums and health are
+/// derived rather than trusted.
+void seal_report(const graphs::Graph& input_graph, CirStagReport& report);
 
 /// CirSTAG: node/edge stability analysis of a black-box GNN on graph-based
 /// manifolds (DAC 2025). Usage:

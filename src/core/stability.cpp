@@ -32,6 +32,19 @@ std::vector<double> StabilityResult::scores_for_edges(
   return scores;
 }
 
+graphs::SolverOptions ly_solver_options(const StabilityOptions& opts) {
+  graphs::SolverOptions sopts;
+  sopts.regularization = 1.0 / opts.sigma2;
+  sopts.preconditioner = opts.preconditioner;
+  sopts.cg.tolerance = opts.cg_tolerance;
+  sopts.cg.max_iterations = opts.cg_max_iterations;
+  // Deliberate iteration budget (see StabilityOptions::cg_max_iterations):
+  // subspace iteration tolerates inexact inner solves, so hitting the cap
+  // is normal and must not raise "unconverged" health warnings.
+  sopts.cg.budget_bounded = true;
+  return sopts;
+}
+
 StabilityResult stability_scores(const graphs::Graph& manifold_x,
                                  const graphs::Graph& manifold_y,
                                  const StabilityOptions& opts,
@@ -50,28 +63,12 @@ StabilityResult stability_scores(const graphs::Graph& manifold_x,
   eopts.ly_regularization = 1.0 / opts.sigma2;
   eopts.cg_tolerance = opts.cg_tolerance;
   eopts.cg_max_iterations = opts.cg_max_iterations;
-  eopts.use_block_cg = opts.use_block_cg;
-  if (opts.initial_subspace != nullptr) {
-    eopts.initial_subspace = opts.initial_subspace;
-    if (opts.warm_subspace_iterations > 0)
-      eopts.iterations = opts.warm_subspace_iterations;
-  }
-  eopts.sweep_seed = opts.eigen_sweep_seed;
-  eopts.sweep_capture = opts.eigen_sweep_capture;
   eopts.ritz_tolerance = opts.ritz_tolerance;
 
   // Build (or fetch) the (L_Y + I/σ²) solver through the shared path so the
   // rest of the pipeline can reuse it; same construction as the solver
   // generalized_eigen_sparse would build internally.
-  graphs::SolverOptions sopts;
-  sopts.regularization = eopts.ly_regularization;
-  sopts.preconditioner = opts.preconditioner;
-  sopts.cg.tolerance = eopts.cg_tolerance;
-  sopts.cg.max_iterations = eopts.cg_max_iterations;
-  // Deliberate iteration budget (see StabilityOptions::cg_max_iterations):
-  // subspace iteration tolerates inexact inner solves, so hitting the cap
-  // is normal and must not raise "unconverged" health warnings.
-  sopts.cg.budget_bounded = true;
+  const graphs::SolverOptions sopts = ly_solver_options(opts);
   // Phase 3a: DMD spectrum — the generalized eigenpairs of L_Y^+ L_X.
   std::shared_ptr<const linalg::LaplacianSolver> ly_solver;
   linalg::GeneralizedEigenResult eig;
@@ -83,8 +80,7 @@ StabilityResult stability_scores(const graphs::Graph& manifold_x,
       ly_solver = std::make_shared<const linalg::LaplacianSolver>(
           graphs::make_laplacian_solver(manifold_y, sopts));
     }
-    if (opts.initial_subspace == nullptr &&
-        graphs::coarsen_engaged(opts.coarsen, n)) {
+    if (graphs::coarsen_engaged(opts.coarsen, n)) {
       // Multilevel path (DESIGN.md §12): one shared matching per level over
       // the edge union of both manifolds, coarsest-level solve, then
       // warm-started refinement sweeps up the hierarchy. The finest level

@@ -19,25 +19,20 @@ namespace cirstag::core {
 
 namespace {
 
-/// Rows of `a` whose relative L2 distance from the same row of `b` exceeds
-/// `tolerance` (same shape assumed). Tolerance 0 degenerates to an exact
-/// inequality test.
+/// Rows of `a` that moved from the same row of `b` (same shape assumed):
+/// a positive squared L2 row distance.
 std::vector<std::uint32_t> changed_rows(const linalg::Matrix& a,
-                                        const linalg::Matrix& b,
-                                        double tolerance) {
+                                        const linalg::Matrix& b) {
   std::vector<std::uint32_t> out;
   for (std::size_t r = 0; r < a.rows(); ++r) {
     const auto ra = a.row(r);
     const auto rb = b.row(r);
-    double d2 = 0.0, n2 = 0.0;
+    double d2 = 0.0;
     for (std::size_t c = 0; c < ra.size(); ++c) {
       const double d = ra[c] - rb[c];
       d2 += d * d;
-      n2 += rb[c] * rb[c];
     }
-    const bool moved =
-        tolerance <= 0.0 ? d2 > 0.0 : d2 > tolerance * tolerance * n2;
-    if (moved) out.push_back(static_cast<std::uint32_t>(r));
+    if (d2 > 0.0) out.push_back(static_cast<std::uint32_t>(r));
   }
   return out;
 }
@@ -55,14 +50,12 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   obs::WallTimer timer;
 
   pin_graph_ = circuit::pin_graph(netlist);
-  features0_ = circuit::pin_features(netlist);
-  snap_ = model.snapshot(features0_);
-  if (opts_.with_sta)
-    sta_ = std::make_unique<circuit::IncrementalSta>(netlist);
-  baseline_timing_ =
-      sta_ ? sta_->baseline_report() : circuit::run_sta(netlist);
+  const linalg::Matrix features0 = circuit::pin_features(netlist);
+  snap_ = model.snapshot(features0);
+  sta_ = std::make_unique<circuit::IncrementalSta>(netlist);
+  baseline_timing_ = sta_->baseline_report();
 
-  build_baseline(pin_graph_, features0_,
+  build_baseline(pin_graph_, features0,
                  snap_.layer_outputs.empty() ? snap_.std_features
                                              : snap_.layer_outputs.back());
   stats_.baseline_seconds = timer.elapsed_seconds();
@@ -77,7 +70,6 @@ SweepEngine::SweepEngine(const graphs::Graph& input_graph,
     runtime::set_global_threads(opts_.config.threads);
   const obs::TraceSpan span("sweep.baseline", "sweep");
   obs::WallTimer timer;
-  features0_ = node_features;
   build_baseline(input_graph, node_features, output_embedding);
   stats_.baseline_seconds = timer.elapsed_seconds();
 }
@@ -92,6 +84,7 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   const obs::TraceSpan span("sweep.restore", "sweep");
   static const obs::Counter restores("sweep.baseline_restores");
   restores.add();
+  const std::uint64_t health_begin = obs::HealthMonitor::global().next_index();
   obs::WallTimer timer;
 
   // Cheap derived state — recomputed, not serialized: the pin graph and
@@ -99,12 +92,9 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   // one forward pass on the already-trained model, and the incremental-STA
   // baseline is one levelized traversal. None of them touch an eigensolver.
   pin_graph_ = circuit::pin_graph(netlist);
-  features0_ = circuit::pin_features(netlist);
-  snap_ = model.snapshot(features0_);
-  if (opts_.with_sta)
-    sta_ = std::make_unique<circuit::IncrementalSta>(netlist);
-  baseline_timing_ =
-      sta_ ? sta_->baseline_report() : circuit::run_sta(netlist);
+  snap_ = model.snapshot(circuit::pin_features(netlist));
+  sta_ = std::make_unique<circuit::IncrementalSta>(netlist);
+  baseline_timing_ = sta_->baseline_report();
 
   // Adopt the warm state after shape validation against this netlist/model.
   const std::size_t n = pin_graph_.num_nodes();
@@ -121,10 +111,6 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
       state.baseline.manifold_y.num_nodes() != n)
     throw std::invalid_argument(
         "SweepEngine: snapshot manifolds do not match the netlist");
-  baseline_.timings.threads = runtime::global_pool().num_threads();
-  if (cfg.use_dimension_reduction && !features0_.empty() &&
-      cfg.feature_weight > 0.0)
-    stats0_ = fit_feature_stats(features0_, cfg.feature_weight);
   u0_ = std::move(state.u0);
   raw_subspace0_ = std::move(state.raw_subspace0);
   mx_base_ = std::move(state.mx);
@@ -132,13 +118,17 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   hier0_ = std::move(state.hier0);
   hier_key_ = state.hier_key;
   baseline_ = std::move(state.baseline);
+  // Re-derive the adopted report's checksums and re-run its sentinels, so
+  // the restored baseline carries provenance and a health window of its own.
+  seal_report(pin_graph_, baseline_);
 
   // Pre-seed the solver cache with the variant-phase (L_Y + I/σ²) solver,
   // reattaching the snapshot's factored spanning-tree preconditioner so the
   // first variant skips the Kruskal + BFS + LDLᵀ build too. The Laplacian
   // assembly itself is O(m) and recomputed here.
   if (!state.variant_tree.empty()) {
-    const graphs::SolverOptions vopts = variant_solver_options();
+    const graphs::SolverOptions vopts =
+        ly_solver_options(variant_stability_options());
     if (state.variant_tree.dimension() == n) {
       auto solver = std::make_shared<const linalg::LaplacianSolver>(
           graphs::laplacian(baseline_.manifold_y), vopts.regularization,
@@ -146,26 +136,23 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
       cache_.insert(baseline_.manifold_y, vopts, std::move(solver));
     }
   }
+  baseline_.health = obs::HealthMonitor::global().collect_since(health_begin);
   stats_.baseline_seconds = timer.elapsed_seconds();
 }
 
-graphs::SolverOptions SweepEngine::variant_solver_options() const {
-  // Mirrors finish_variant's StabilityOptions overrides plus the
-  // SolverOptions construction inside stability_scores — one place to keep
-  // the snapshot export/restore key honest.
-  const StabilityOptions& st = opts_.config.stability;
-  const bool fast = !opts_.exact;
-  graphs::SolverOptions s;
-  s.regularization = 1.0 / st.sigma2;
-  s.preconditioner = fast && opts_.tree_preconditioner
-                         ? graphs::SolverPreconditioner::spanning_tree
-                         : st.preconditioner;
-  s.cg.tolerance = fast && opts_.fast_cg_tolerance > 0.0
-                       ? opts_.fast_cg_tolerance
-                       : st.cg_tolerance;
-  s.cg.max_iterations = st.cg_max_iterations;
-  s.cg.budget_bounded = true;
-  return s;
+StabilityOptions SweepEngine::variant_stability_options() const {
+  StabilityOptions so = opts_.config.stability;
+  if (!opts_.exact) {
+    // Phase-3 levers, each keeping the cold deterministic start: the
+    // spanning-tree preconditioner and kFastCgTolerance for the inner
+    // solves (Phase 3 makes no discrete decisions, so they move scores at
+    // tolerance level only), plus the kFastRitzTolerance early stop (the
+    // whole drift budget).
+    so.preconditioner = graphs::SolverPreconditioner::spanning_tree;
+    so.cg_tolerance = kFastCgTolerance;
+    so.ritz_tolerance = kFastRitzTolerance;
+  }
+  return so;
 }
 
 SweepBaselineState SweepEngine::export_baseline_state() {
@@ -184,7 +171,8 @@ SweepBaselineState SweepEngine::export_baseline_state() {
   // Export the variant-phase solver's tree factorization (builds through
   // the shared cache when no variant has demanded it yet — snapshot-write
   // time, so the one-off cost is fine).
-  const graphs::SolverOptions vopts = variant_solver_options();
+  const graphs::SolverOptions vopts =
+      ly_solver_options(variant_stability_options());
   if (vopts.preconditioner == graphs::SolverPreconditioner::spanning_tree) {
     const auto solver = cache_.solver(baseline_.manifold_y, vopts);
     if (solver->has_tree_preconditioner()) {
@@ -210,93 +198,36 @@ void SweepEngine::build_baseline(const graphs::Graph& input_graph,
                                  const linalg::Matrix& output_embedding) {
   static const obs::Counter baselines("sweep.baselines");
   baselines.add();
-  const CirStagConfig& cfg = opts_.config;
-  if (input_graph.num_nodes() != output_embedding.rows())
-    throw std::invalid_argument("SweepEngine: graph nodes != embedding rows");
+  const std::uint64_t health_begin = obs::HealthMonitor::global().next_index();
 
-  baseline_.timings.threads = runtime::global_pool().num_threads();
-  obs::WallTimer timer;
-
-  // Phase 1 — same construction as CirStag::analyze. The fitted stats are
-  // kept: fast Case-A variants standardize in this baseline frame so that
-  // untouched pins' augmented rows stay bitwise identical to the baseline's
-  // (see SweepOptions::baseline_feature_frame).
-  linalg::Matrix x_emb;
-  if (cfg.use_dimension_reduction) {
-    u0_ = spectral_embedding(input_graph, cfg.embedding);
-    if (!node_features.empty() && cfg.feature_weight > 0.0) {
-      stats0_ = fit_feature_stats(node_features, cfg.feature_weight);
-      const linalg::Matrix f0 = apply_feature_stats(node_features, stats0_);
-      x_emb = augment_embedding(u0_, f0);
-    } else {
-      x_emb = u0_;
-    }
+  // The baseline is analyze() on the unperturbed inputs plus captures: the
+  // spectral embedding every Case-A variant reuses, in fast mode the kNN
+  // baselines of the variants' delta re-queries, and the multilevel pair
+  // hierarchy (when that path engages) that fast variants reuse. Phase 3
+  // runs the config's own trajectory, so the report is byte-identical to
+  // CirStag::analyze in both modes.
+  PipelineHooks hooks;
+  hooks.spectral_out = &u0_;
+  if (!opts_.exact) {
+    hooks.manifold = [this](const linalg::Matrix& embedding,
+                            ManifoldSide side) {
+      ManifoldBaseline& base =
+          side == ManifoldSide::input ? mx_base_ : my_base_;
+      base = capture_manifold_baseline(embedding, opts_.config.manifold,
+                                       &cache_);
+      return base.manifold;
+    };
   }
-  baseline_.input_embedding = x_emb;
-  baseline_.timings.embedding_seconds = timer.elapsed_seconds();
-  timer.reset();
-
-  graphs::LaplacianSolverCache* cache =
-      cfg.use_solver_cache ? &cache_ : nullptr;
-
-  // Phase 2 — in fast mode capture kNN baselines and store the resistance
-  // sketch's solutions, both of which seed every variant later. The warm
-  // tag is a pure side effect on the baseline itself: the sketch's own
-  // take_warm_block finds an empty store and solves cold, bit-identical to
-  // the untagged path.
-  const bool fast = !opts_.exact;
-  ManifoldOptions mo_x = cfg.manifold;
-  ManifoldOptions mo_y = cfg.manifold;
-  if (fast && opts_.warm_sketch) {
-    mo_x.sparsify.resistance.warm_start_tag = "sweep/base/x";
-    mo_y.sparsify.resistance.warm_start_tag = "sweep/base/y";
-  }
-  if (cfg.use_dimension_reduction) {
-    if (fast) {
-      mx_base_ = capture_manifold_baseline(x_emb, mo_x, cache);
-      baseline_.manifold_x = mx_base_.manifold;
-    } else {
-      baseline_.manifold_x = build_manifold(x_emb, mo_x, cache);
-    }
-  } else {
-    baseline_.manifold_x = input_graph;
-  }
-  if (fast) {
-    my_base_ = capture_manifold_baseline(output_embedding, mo_y, cache);
-    baseline_.manifold_y = my_base_.manifold;
-  } else {
-    baseline_.manifold_y = build_manifold(output_embedding, mo_y, cache);
-  }
-  baseline_.timings.manifold_seconds = timer.elapsed_seconds();
-  timer.reset();
-
-  // Phase 3 — keep the converged eigenbasis plus (fast mode) the per-sweep
-  // CG solution blocks as the variants' warm starts. The baseline runs the
-  // config's own trajectory (preconditioner, tolerance, sweep count) so the
-  // captured report stays byte-identical to CirStag::analyze in both modes.
-  StabilityOptions so = cfg.stability;
-  if (fast && opts_.warm_sweep_cg) so.eigen_sweep_capture = &sweep_blocks0_;
-  // Capture the multilevel pair hierarchy (when the path engages) so fast
-  // variants can reuse its prolongation maps instead of re-matching.
+  StabilityOptions so = opts_.config.stability;
   so.hierarchy_capture = &hier0_;
-  StabilityResult stab = stability_scores(baseline_.manifold_x,
-                                          baseline_.manifold_y, so, cache);
-  if (!hier0_.empty()) hier_key_ = baseline_.manifold_x.fingerprint();
-  baseline_.timings.stability_seconds = timer.elapsed_seconds();
+  hooks.stability = &so;
+  StabilityResult stab;
+  hooks.stability_out = &stab;
+  baseline_ = run_pipeline(opts_.config, input_graph, node_features,
+                           output_embedding, cache_, hooks);
+  baseline_.health = obs::HealthMonitor::global().collect_since(health_begin);
   raw_subspace0_ = std::move(stab.raw_subspace);
-  baseline_.node_scores = std::move(stab.node_scores);
-  baseline_.edge_scores = std::move(stab.edge_scores);
-  baseline_.eigenvalues = std::move(stab.eigenvalues);
-  baseline_.weighted_subspace = std::move(stab.weighted_subspace);
-  baseline_.node_score_mean = mean_node_score(baseline_.node_scores);
-
-  // Claim the baseline sketch solutions for per-variant seeding.
-  if (fast && opts_.warm_sketch) {
-    const std::size_t n = input_graph.num_nodes();
-    const std::size_t k = cfg.manifold.sparsify.resistance.num_probes;
-    cache_.take_warm_block("sweep/base/x", n, k, warm_x_block_);
-    cache_.take_warm_block("sweep/base/y", n, k, warm_y_block_);
-  }
+  if (!hier0_.empty()) hier_key_ = baseline_.manifold_x.fingerprint();
 }
 
 std::vector<SweepVariantResult> SweepEngine::run(
@@ -311,20 +242,27 @@ std::vector<SweepVariantResult> SweepEngine::run(
 
   obs::WallTimer timer;
   const std::size_t cache_hits_before = cache_.hits();
+  const std::uint64_t health_begin = obs::HealthMonitor::global().next_index();
 
   std::vector<SweepVariantResult> results(variants.size());
   // One task per variant: inner phases' nested parallel_for calls run
   // serially inline, so per-variant results are bit-identical at any pool
-  // width, and all warm data is seeded from the baseline only — sibling
+  // width, and all reused state comes from the baseline only — sibling
   // variants never feed each other.
   runtime::parallel_for(0, variants.size(), 1, [&](std::size_t i) {
     results[i] = run_variant(variants[i], i);
   });
 
+  // The variants recorded into the one global HealthMonitor concurrently,
+  // so no event can be pinned on one of them: every report of this call
+  // carries the call's whole window.
+  const obs::HealthReport health =
+      obs::HealthMonitor::global().collect_since(health_begin);
+  for (SweepVariantResult& r : results) r.report.health = health;
+
   stats_.sweep_seconds = timer.elapsed_seconds();
   stats_.variants = results.size();
   stats_.solver_cache_hits = cache_.hits() - cache_hits_before;
-  stats_.eigen_warm_starts = 0;
   double sta_sum = 0.0, gnn_sum = 0.0, knn_sum = 0.0, sweep_sum = 0.0;
   std::size_t sta_n = 0, gnn_n = 0, knn_n = 0, sweep_n = 0;
   const double sweep_budget =
@@ -349,7 +287,6 @@ std::vector<SweepVariantResult> SweepEngine::run(
         ++knn_n;
       }
     }
-    if (r.stats.eigen_warm_started) ++stats_.eigen_warm_starts;
   }
   stats_.avg_sta_cone_fraction = sta_n ? sta_sum / sta_n : 1.0;
   stats_.avg_gnn_row_fraction = gnn_n ? gnn_sum / gnn_n : 1.0;
@@ -361,13 +298,11 @@ std::vector<SweepVariantResult> SweepEngine::run(
   static const obs::Gauge g_knn("sweep.knn_requery_fraction");
   static const obs::Gauge g_sweeps("sweep.subspace_sweep_fraction");
   static const obs::Gauge g_hits("sweep.solver_cache_hits");
-  static const obs::Counter warm_eig("sweep.eigen_warm_starts");
   g_sta.set(stats_.avg_sta_cone_fraction);
   g_gnn.set(stats_.avg_gnn_row_fraction);
   g_knn.set(stats_.avg_knn_requery_fraction);
   g_sweeps.set(stats_.avg_subspace_sweep_fraction);
   g_hits.set(static_cast<double>(stats_.solver_cache_hits));
-  warm_eig.add(stats_.eigen_warm_starts);
   return results;
 }
 
@@ -397,43 +332,21 @@ SweepVariantResult SweepEngine::run_case_a(const SweepVariant& v,
   }
   const linalg::Matrix fv = circuit::pin_features(nlv);
 
-  if (opts_.with_sta && sta_) {
-    const circuit::TimingReport rep = sta_->run(nlv, touched, &out.stats.sta);
-    out.worst_arrival = rep.worst_arrival;
-  }
+  const circuit::TimingReport rep = sta_->run(nlv, touched, &out.stats.sta);
+  out.worst_arrival = rep.worst_arrival;
 
   // Incremental GNN forward (bit-identical to a full forward).
   gnn::GnnIncrementalResult inc =
       model_->forward_incremental(snap_, fv, &out.stats.gnn);
   out.prediction = std::move(inc.prediction);
 
-  // Input side: the pin graph is untouched by capacitance edits, so the
-  // baseline spectral embedding is reused verbatim in both modes; only the
-  // feature channel moves. Exact mode refits the column stats on the
-  // variant (analyze()'s own behavior). Fast mode standardizes in the
-  // baseline frame by default: a refit would move every standardized row
-  // and disable the input-side kNN delta, while the frames differ only by
-  // a mean shift (invisible to kNN distances) and a tiny scale ratio.
-  linalg::Matrix x_emb;
-  const CirStagConfig& cfg = opts_.config;
-  const bool fast = !opts_.exact;
-  if (cfg.use_dimension_reduction) {
-    out.stats.spectral_reused = true;
-    if (!fv.empty() && cfg.feature_weight > 0.0) {
-      const linalg::Matrix f =
-          fast && opts_.baseline_feature_frame
-              ? apply_feature_stats(fv, stats0_)
-              : apply_feature_stats(fv,
-                                    fit_feature_stats(fv, cfg.feature_weight));
-      x_emb = augment_embedding(u0_, f);
-    } else {
-      x_emb = u0_;
-    }
-  }
-
-  finish_variant(out, std::move(x_emb), &pin_graph_, inc.embedding, index);
+  // The pin graph is untouched by capacitance edits, so the baseline
+  // spectral embedding is reused verbatim in both modes; only the feature
+  // channel moves (refit on the variant, as analyze() does).
+  out.stats.spectral_reused = opts_.config.use_dimension_reduction;
+  finish_variant(out, pin_graph_, fv, inc.embedding, &u0_);
   if (!opts_.exact && opts_.audit_drift)
-    audit_variant_drift(out, pin_graph_, &fv, inc.embedding, index);
+    audit_variant_drift(out, pin_graph_, fv, inc.embedding, index);
   return out;
 }
 
@@ -444,41 +357,20 @@ SweepVariantResult SweepEngine::run_case_b(const SweepVariant& v,
         "SweepEngine: Case-B variant needs input_graph and output_embedding");
   const obs::TraceSpan span("sweep.variant_b", "sweep");
   SweepVariantResult out;
-  const CirStagConfig& cfg = opts_.config;
-  const graphs::Graph& g = *v.input_graph;
-  if (g.num_nodes() != v.output_embedding->rows())
-    throw std::invalid_argument(
-        "SweepEngine: variant graph nodes != embedding rows");
-
-  linalg::Matrix x_emb;
-  if (cfg.use_dimension_reduction) {
-    // The topology changed, so the spectrum must be recomputed; with
-    // warm_spectral the fast mode seeds the Krylov recurrence with the
-    // baseline eigenbasis. Feature stats are refit per variant (analyze()'s
-    // behavior) in both modes.
-    const bool warm = !opts_.exact && opts_.warm_spectral && !u0_.empty();
-    const linalg::Matrix u =
-        warm ? spectral_embedding_warm(g, cfg.embedding, &u0_)
-             : spectral_embedding(g, cfg.embedding);
-    const linalg::Matrix* feats = v.node_features;
-    if (feats != nullptr && !feats->empty() && cfg.feature_weight > 0.0) {
-      const linalg::Matrix f = apply_feature_stats(
-          *feats, fit_feature_stats(*feats, cfg.feature_weight));
-      x_emb = augment_embedding(u, f);
-    } else {
-      x_emb = u;
-    }
-  }
-
-  finish_variant(out, std::move(x_emb), &g, *v.output_embedding, index);
+  // The topology changed, so the spectrum is recomputed.
+  static const linalg::Matrix no_features;
+  const linalg::Matrix& features =
+      v.node_features != nullptr ? *v.node_features : no_features;
+  finish_variant(out, *v.input_graph, features, *v.output_embedding, nullptr);
   if (!opts_.exact && opts_.audit_drift)
-    audit_variant_drift(out, g, v.node_features, *v.output_embedding, index);
+    audit_variant_drift(out, *v.input_graph, features, *v.output_embedding,
+                        index);
   return out;
 }
 
 void SweepEngine::audit_variant_drift(SweepVariantResult& out,
                                       const graphs::Graph& input_graph,
-                                      const linalg::Matrix* node_features,
+                                      const linalg::Matrix& node_features,
                                       const linalg::Matrix& output_embedding,
                                       std::size_t index) const {
   // The reference is the naive per-variant loop: a fresh CirStag::analyze
@@ -490,9 +382,7 @@ void SweepEngine::audit_variant_drift(SweepVariantResult& out,
   naive_cfg.threads = 0;
   const CirStag naive(naive_cfg);
   const CirStagReport ref =
-      node_features != nullptr && !node_features->empty()
-          ? naive.analyze(input_graph, *node_features, output_embedding)
-          : naive.analyze(input_graph, output_embedding);
+      naive.analyze(input_graph, node_features, output_embedding);
 
   const std::vector<double>& fast_scores = out.report.node_scores;
   const std::vector<double>& ref_scores = ref.node_scores;
@@ -522,149 +412,49 @@ void SweepEngine::audit_variant_drift(SweepVariantResult& out,
 }
 
 void SweepEngine::finish_variant(SweepVariantResult& out,
-                                 linalg::Matrix input_embedding,
-                                 const graphs::Graph* input_graph,
+                                 const graphs::Graph& input_graph,
+                                 const linalg::Matrix& node_features,
                                  const linalg::Matrix& output_embedding,
-                                 std::size_t index) {
+                                 const linalg::Matrix* spectral) {
   const CirStagConfig& cfg = opts_.config;
-  const bool fast = !opts_.exact;
-  graphs::LaplacianSolverCache* cache =
-      cfg.use_solver_cache ? &cache_ : nullptr;
-  CirStagReport& report = out.report;
-  report.timings.threads = runtime::global_pool().num_threads();
-  obs::WallTimer timer;
-  report.input_embedding = std::move(input_embedding);
-
-  // Adaptive kNN delta (fast mode): each side re-queries only around the
-  // rows that moved relative to the captured baseline — worthwhile only
-  // when a minority moved, otherwise a full build is both faster and free
-  // of the delta's one-sided-neighbor approximation. Rows below
-  // moved_row_tolerance count as unmoved: GNN-output perturbations
-  // attenuate with DAG distance and the baseline feature frame keeps
-  // untouched input rows bitwise stable, so the genuinely-moved sets are
-  // the perturbation cones, not the whole embedding.
-  std::vector<std::uint32_t> moved_x, moved_y;
-  bool delta_x = false, delta_y = false;
-  if (fast) {
-    const double tol = opts_.moved_row_tolerance;
-    const linalg::Matrix& x = report.input_embedding;
-    if (!x.empty() && mx_base_.knn.points.rows() == x.rows() &&
-        mx_base_.knn.points.cols() == x.cols()) {
-      moved_x = changed_rows(x, mx_base_.knn.points, tol);
-      delta_x = moved_x.size() * 2 < x.rows();
-    }
-    if (my_base_.knn.points.rows() == output_embedding.rows() &&
-        my_base_.knn.points.cols() == output_embedding.cols()) {
-      moved_y = changed_rows(output_embedding, my_base_.knn.points, tol);
-      delta_y = moved_y.size() * 2 < output_embedding.rows();
-    }
+  PipelineHooks hooks;
+  hooks.spectral = spectral;
+  StabilityOptions so = variant_stability_options();
+  if (!opts_.exact) {
+    // Adaptive kNN delta: each side re-queries only around the rows that
+    // moved relative to the captured baseline — worthwhile only when a
+    // minority moved, otherwise a full build is both faster and free of the
+    // delta's one-sided-neighbor approximation.
+    hooks.manifold = [&](const linalg::Matrix& embedding, ManifoldSide side) {
+      const bool input = side == ManifoldSide::input;
+      const ManifoldBaseline& base = input ? mx_base_ : my_base_;
+      if (base.knn.points.rows() == embedding.rows() &&
+          base.knn.points.cols() == embedding.cols()) {
+        const std::vector<std::uint32_t> moved =
+            changed_rows(embedding, base.knn.points);
+        if (moved.size() * 2 < embedding.rows())
+          return build_manifold_delta(base, embedding, moved, cfg.manifold,
+                                      &cache_,
+                                      input ? &out.stats.knn_x
+                                            : &out.stats.knn_y);
+      }
+      return build_manifold(embedding, cfg.manifold, &cache_);
+    };
+    // Hierarchy reuse (DESIGN.md §13): variants perturb manifold
+    // weights/edges but keep the node set, so the baseline's prolongation
+    // maps stay valid and the multilevel path only re-aggregates edge
+    // weights through them instead of re-matching every level. Exact mode
+    // stays on the fresh-matching path for byte-identity with the naive
+    // loop.
+    if (!hier0_.empty() && input_graph.num_nodes() == hier_key_.nodes)
+      so.hierarchy_reuse = &hier0_;
   }
-
-  // Per-variant warm-start tags, seeded from the baseline sketch only so
-  // concurrent variants stay independent (and deterministic).
-  ManifoldOptions mo_x = cfg.manifold;
-  ManifoldOptions mo_y = cfg.manifold;
-  std::string tag_x, tag_y;
-  if (fast && opts_.warm_sketch && cache != nullptr) {
-    if (!warm_x_block_.empty()) {
-      tag_x = "sweep/x/v" + std::to_string(index);
-      cache_.store_warm_block(tag_x, warm_x_block_);
-      mo_x.sparsify.resistance.warm_start_tag = tag_x;
-    }
-    if (!warm_y_block_.empty()) {
-      tag_y = "sweep/y/v" + std::to_string(index);
-      cache_.store_warm_block(tag_y, warm_y_block_);
-      mo_y.sparsify.resistance.warm_start_tag = tag_y;
-    }
-  }
-
-  // Phase 2.
-  if (report.input_embedding.empty()) {
-    report.manifold_x = input_graph != nullptr ? *input_graph : graphs::Graph();
-  } else if (delta_x) {
-    report.manifold_x =
-        build_manifold_delta(mx_base_, report.input_embedding, moved_x, mo_x,
-                             cache, &out.stats.knn_x);
-  } else {
-    report.manifold_x = build_manifold(report.input_embedding, mo_x, cache);
-  }
-  if (delta_y) {
-    report.manifold_y = build_manifold_delta(my_base_, output_embedding,
-                                             moved_y, mo_y, cache,
-                                             &out.stats.knn_y);
-  } else {
-    report.manifold_y = build_manifold(output_embedding, mo_y, cache);
-  }
-  report.timings.manifold_seconds = timer.elapsed_seconds();
-  timer.reset();
-
-  // Drop the variant's own stored sketch solutions: the next variant seeds
-  // from the baseline block again, keeping results order-independent.
-  if (!tag_x.empty() || !tag_y.empty()) {
-    linalg::Matrix dropped;
-    const std::size_t k = cfg.manifold.sparsify.resistance.num_probes;
-    if (!tag_x.empty())
-      cache_.take_warm_block(tag_x, report.manifold_x.num_nodes(), k, dropped);
-    if (!tag_y.empty())
-      cache_.take_warm_block(tag_y, report.manifold_y.num_nodes(), k, dropped);
-  }
-
-  // Phase 3 — accelerated in fast mode by three levers that each keep the
-  // cold deterministic start: the spanning-tree preconditioner for the
-  // inner solves and a relaxed CG tolerance (measured drift ≤ 1e-4 each —
-  // Phase 3 makes no discrete decisions, so trajectory changes stay at
-  // tolerance level), plus the adaptive Ritz early stop (the whole drift
-  // budget; see SweepOptions::fast_ritz_tolerance). With
-  // warm_sweep_cg the baseline's captured sweep-k CG solutions are offered
-  // as per-sweep seeds, adopted per column only when their true residual
-  // beats the own-chain guess. (Measured: across variants the converged
-  // solutions genuinely differ — near-nullspace components of (L_Y+εI)⁻¹
-  // amplify tiny manifold deltas — so adoption is rare and the seeds save
-  // nothing; the residual check is what makes offering them safe.) Opting
-  // into warm_subspace_iterations instead seeds the subspace itself with
-  // the baseline eigenbasis and cuts the sweep count below the settled
-  // regime — faster still, but on near-degenerate spectra that truncated
-  // warm trajectory drifts well past kFastScoreDriftTolerance; the sweep
-  // seeds are withheld there since they belong to a different (cold-start)
-  // trajectory.
-  StabilityOptions so = cfg.stability;
-  if (fast) {
-    if (opts_.tree_preconditioner)
-      so.preconditioner = graphs::SolverPreconditioner::spanning_tree;
-    if (opts_.fast_cg_tolerance > 0.0)
-      so.cg_tolerance = opts_.fast_cg_tolerance;
-    if (opts_.fast_ritz_tolerance > 0.0)
-      so.ritz_tolerance = opts_.fast_ritz_tolerance;
-  }
-  if (fast && report.manifold_x.num_nodes() == baseline_.manifold_x.num_nodes()) {
-    if (opts_.warm_subspace_iterations > 0 && raw_subspace0_.cols() > 0) {
-      so.initial_subspace = &raw_subspace0_;
-      so.warm_subspace_iterations = opts_.warm_subspace_iterations;
-      out.stats.eigen_warm_started = true;
-    } else if (!sweep_blocks0_.empty()) {
-      so.eigen_sweep_seed = &sweep_blocks0_;
-      out.stats.eigen_warm_started = true;
-    }
-  }
-  // Hierarchy reuse (fast mode, DESIGN.md §13): variants perturb manifold
-  // weights/edges but keep the node set, so the baseline's captured
-  // prolongation maps stay valid — the multilevel path then only
-  // re-aggregates edge weights through them (Galerkin) instead of
-  // re-matching every level. Keyed by the capture-time fingerprint's node
-  // count; exact mode stays on the fresh-matching path for byte-identity
-  // with the naive loop.
-  if (fast && !hier0_.empty() &&
-      report.manifold_x.fingerprint().nodes == hier_key_.nodes)
-    so.hierarchy_reuse = &hier0_;
-  StabilityResult stab =
-      stability_scores(report.manifold_x, report.manifold_y, so, cache);
-  report.timings.stability_seconds = timer.elapsed_seconds();
+  hooks.stability = &so;
+  StabilityResult stab;
+  hooks.stability_out = &stab;
+  out.report = run_pipeline(cfg, input_graph, node_features, output_embedding,
+                            cache_, hooks);
   out.stats.subspace_sweeps = stab.subspace_sweeps;
-  report.node_scores = std::move(stab.node_scores);
-  report.edge_scores = std::move(stab.edge_scores);
-  report.eigenvalues = std::move(stab.eigenvalues);
-  report.weighted_subspace = std::move(stab.weighted_subspace);
-  report.node_score_mean = mean_node_score(report.node_scores);
 }
 
 std::vector<double> SweepEngine::predict_case_a(

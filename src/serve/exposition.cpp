@@ -296,15 +296,14 @@ std::string render_stats_json(Service& service) {
   }
   out += "]}";
 
-  // Arena / cache / warm-state reuse counters, surfaced as one section so
-  // an operator sees the memory+compute reuse story in a glance.
+  // Arena / cache / reuse counters, surfaced as one section so an operator
+  // sees the memory+compute reuse story in a glance.
   out += ", \"reuse\": {";
   first = true;
   for (const auto& [name, value] : snap.counters) {
     if (name.find("arena") == std::string::npos &&
         name.find("cache") == std::string::npos &&
-        name.find("reuse") == std::string::npos &&
-        name.find("warm_start") == std::string::npos)
+        name.find("reuse") == std::string::npos)
       continue;
     if (!first) out += ", ";
     first = false;

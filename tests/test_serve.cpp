@@ -23,6 +23,7 @@
 
 #include "circuit/generator.hpp"
 #include "circuit/io.hpp"
+#include "circuit/views.hpp"
 #include "core/query.hpp"
 #include "core/sweep.hpp"
 #include "io/snapshot.hpp"
@@ -853,6 +854,21 @@ TEST(ServeEndpoints, AnalyzeBaselineMatchesResidentEngine) {
         << "node score " << i << " not bitwise-identical";
   }
   EXPECT_TRUE(report->bool_or("health_ok", false));
+
+  // The served provenance is the pipeline's own: every per-phase checksum
+  // equals CirStag::analyze's on the same circuit and trained model.
+  const auto record = shared_service().registry.lookup("fixture");
+  const linalg::Matrix features = circuit::pin_features(record->netlist);
+  const core::CirStagReport direct = core::CirStag().analyze(
+      circuit::pin_graph(record->netlist), features,
+      record->model->embed(features));
+  const JsonValue* served = report->find("checksums");
+  ASSERT_NE(served, nullptr);
+  const JsonValue expected = parse_json(direct.checksums.to_json());
+  ASSERT_EQ(served->members().size(), expected.members().size());
+  for (const auto& [phase, value] : expected.members())
+    EXPECT_EQ(served->string_or(phase, ""), value.as_string()) << phase;
+  EXPECT_NE(served->string_or("node_scores", ""), "0000000000000000");
 }
 
 TEST(ServeEndpoints, AnalyzeVariantMatchesDirectEngineRun) {

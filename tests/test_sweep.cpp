@@ -89,6 +89,19 @@ void expect_same_report(const CirStagReport& a, const CirStagReport& b,
   expect_same_matrix(a.input_embedding, b.input_embedding, what);
   expect_same_graph(a.manifold_x, b.manifold_x, what);
   expect_same_graph(a.manifold_y, b.manifold_y, what);
+  // Provenance: all seven per-phase checksums, and a health window that
+  // reports the same (zero) error count.
+  EXPECT_EQ(a.checksums.input_graph, b.checksums.input_graph) << what;
+  EXPECT_EQ(a.checksums.embedding, b.checksums.embedding) << what;
+  EXPECT_EQ(a.checksums.manifold_x, b.checksums.manifold_x) << what;
+  EXPECT_EQ(a.checksums.manifold_y, b.checksums.manifold_y) << what;
+  EXPECT_EQ(a.checksums.eigenvalues, b.checksums.eigenvalues) << what;
+  EXPECT_EQ(a.checksums.node_scores, b.checksums.node_scores) << what;
+  EXPECT_EQ(a.checksums.edge_scores, b.checksums.edge_scores) << what;
+  EXPECT_NE(a.checksums.node_scores, 0u) << what << ": checksums never set";
+  EXPECT_EQ(a.health.count(obs::HealthSeverity::error),
+            b.health.count(obs::HealthSeverity::error))
+      << what;
 }
 
 /// Case-A variants: a few disjoint groups of cell-input pins, each scaled up.
@@ -227,8 +240,7 @@ TEST_F(SweepEngineTest, FastModeDriftWithinToleranceCaseA) {
     // Fast-mode reuse engaged: spectral reuse, and the adaptive Ritz stop
     // kept the sweep count inside the budget. (kNN deltas are adaptive —
     // they engage only when a minority of embedding rows moved, which
-    // depends on the perturbed pins' fanout cones; eigen warm starts are
-    // opt-in and off by default.)
+    // depends on the perturbed pins' fanout cones.)
     EXPECT_TRUE(results[i].stats.spectral_reused);
     EXPECT_GE(results[i].stats.subspace_sweeps, 1u);
     EXPECT_LE(results[i].stats.subspace_sweeps,
@@ -240,7 +252,6 @@ TEST_F(SweepEngineTest, FastModeDriftWithinToleranceCaseA) {
   EXPECT_LT(stats.avg_gnn_row_fraction, 1.0);
   // The adaptive stop saved eigensolver work somewhere in the sweep.
   EXPECT_LT(stats.avg_subspace_sweep_fraction, 1.0);
-  EXPECT_EQ(stats.eigen_warm_starts, 0u);
 }
 
 TEST_F(SweepEngineTest, OutputKnnDeltaEngagesForShallowCones) {

@@ -36,7 +36,8 @@ Additional modes over the cirstag_cli observability outputs:
 
   --check-manifest M.json [...]   validate --manifest-json documents: the
                                   manifest/build/run sections must be present
-                                  and checksums must be 16-digit lower hex
+                                  and checksums must be 16-digit lower hex,
+                                  never all zeros (an unset checksum)
   --diff-manifests A.json B.json  compare two manifests' per-phase checksums
                                   key by key (e.g. current run vs the stored
                                   bench/MANIFEST_baseline.json, or a 1-thread
@@ -68,6 +69,9 @@ from pathlib import Path
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "bench" / "BENCH_baseline.json"
 
 HEX16 = re.compile(r"^[0-9a-f]{16}$")
+# How an unset obs::PhaseChecksums field renders: a report whose producer
+# never computed its provenance.
+UNSET_CHECKSUM = "0" * 16
 CHECKSUM_KEYS = (
     "input_graph", "embedding", "manifold_x", "manifold_y",
     "eigenvalues", "node_scores", "edge_scores",
@@ -335,6 +339,10 @@ def manifest_problems(path, doc):
                     problems.append(
                         f"{path}: checksums.{key} is {value!r}, expected a "
                         f"16-digit lower-hex string")
+                elif value == UNSET_CHECKSUM:
+                    problems.append(
+                        f"{path}: checksums.{key} is all zeros — the "
+                        f"producer never computed it")
     return problems
 
 

@@ -73,8 +73,7 @@ constexpr const char* kUsage =
     "  analyze <in.ckt>     train GNN surrogate + CirSTAG stability scores\n"
     "                       [--scores out.csv] [--epochs E] [--hidden H]\n"
     "                       [--top K] [--probes P]\n"
-    "                       [--solver-precond jacobi|tree] [--block-cg 0|1]\n"
-    "                       [--solver-cache 0|1] [--coarsen auto|off]\n"
+    "                       [--solver-precond jacobi|tree] [--coarsen auto|off]\n"
     "                       [--coarsen-levels L] [--coarsen-threshold N]\n"
     "                       [--perf-json out.json]\n"
     "  sweep <in.ckt>       batched Case-A perturbation sweep: analyze N\n"
@@ -153,10 +152,6 @@ constexpr const char* kUsage =
     "  --solver-precond X   'jacobi' (default, historical iterates) or\n"
     "                       'tree' (spanning-tree preconditioner, fewer CG\n"
     "                       iterations, same accuracy)\n"
-    "  --block-cg 0|1       multi-RHS blocked CG for probe/subspace solves\n"
-    "                       (default 1; bit-identical either way)\n"
-    "  --solver-cache 0|1   cross-phase Laplacian-solver cache (default 1;\n"
-    "                       bit-identical either way)\n"
     "  --coarsen auto|off   multilevel eigensolver (DESIGN.md §12): 'auto'\n"
     "                       (default) coarsens graphs at or above the\n"
     "                       engagement threshold and solves coarse-to-fine;\n"
@@ -635,10 +630,6 @@ int cmd_analyze(int argc, char** argv) {
   } else if (precond != "jacobi") {
     bad_option_value("solver-precond", precond, "'jacobi' or 'tree'");
   }
-  const bool block_cg = opt_size(opts, "block-cg", 1) != 0;
-  cfg.manifold.sparsify.resistance.use_block_cg = block_cg;
-  cfg.stability.use_block_cg = block_cg;
-  cfg.use_solver_cache = opt_size(opts, "solver-cache", 1) != 0;
   apply_coarsen_flags(opts, cfg);
 
   std::printf("training timing GNN surrogate...\n");
@@ -702,8 +693,6 @@ int cmd_analyze(int argc, char** argv) {
   mb.set_uint("config", "probes",
               cfg.manifold.sparsify.resistance.num_probes);
   mb.set_string("config", "solver_precond", precond);
-  mb.set_bool("config", "block_cg", block_cg);
-  mb.set_bool("config", "solver_cache", cfg.use_solver_cache);
   mb.set_bool("config", "coarsen",
               cfg.embedding.coarsen.mode != graphs::CoarsenMode::off);
   mb.set_uint("config", "coarsen_levels", cfg.embedding.coarsen.max_levels);

@@ -186,5 +186,31 @@ class BenchGateMessages(unittest.TestCase):
         self.assertIn("OK: 1 gated counter(s)", out)
 
 
+class ManifestChecks(unittest.TestCase):
+    def manifest(self, checksum):
+        return {
+            "manifest": {"schema_version": 1},
+            "build": {"git_describe": "g", "build_type": "Release",
+                      "compiler": "c"},
+            "run": {"command": "sweep"},
+            "checksums": {key: checksum for key in checker.CHECKSUM_KEYS},
+        }
+
+    def test_real_checksums_pass(self):
+        self.assertEqual(
+            checker.manifest_problems("m.json",
+                                      self.manifest("0123456789abcdef")), [])
+
+    def test_all_zero_checksum_is_rejected_per_key(self):
+        doc = self.manifest("0123456789abcdef")
+        doc["checksums"]["eigenvalues"] = "0000000000000000"
+        problems = checker.manifest_problems("m.json", doc)
+        self.assertEqual(len(problems), 1)
+        self.assertIn("checksums.eigenvalues is all zeros", problems[0])
+        unset = checker.manifest_problems(
+            "m.json", self.manifest("0000000000000000"))
+        self.assertEqual(len(unset), len(checker.CHECKSUM_KEYS))
+
+
 if __name__ == "__main__":
     unittest.main()
