@@ -7,6 +7,7 @@
 #include "kernels/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/parallel_for.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/aligned.hpp"
 #include "util/arena.hpp"
 
@@ -14,11 +15,10 @@ namespace cirstag::linalg {
 
 namespace {
 
-/// Rows per parallel chunk for element-wise block updates; fixed grain keeps
-/// the decomposition (and hence every partial) thread-count independent.
-constexpr std::size_t kRowGrain = 2048;
-/// Below this many elements an update is cheaper than waking the pool.
-constexpr std::size_t kParallelMinElems = 16384;
+/// Column-group width the split aims for: one 4-lane masked-kernel pass.
+/// Narrower groups leave lanes empty and lose more to the per-sweep CSR
+/// traversal than the extra pool lane buys.
+constexpr std::size_t kColumnsPerGroup = 4;
 
 using Mask = std::vector<std::uint8_t>;
 /// Column mask in the kernel layer's bit-pattern form, zero-padded to the
@@ -75,60 +75,43 @@ void deflate_column(Matrix& x, std::size_t j) {
   for (std::size_t i = 0; i < n; ++i) x(i, j) -= mean;
 }
 
-/// y(i,j) += c[j]·x(i,j) on active columns (element-parallel, fixed chunks).
+/// y(i,j) += c[j]·x(i,j) on active columns.
 void axpy_columns(const Coeffs& c, const Matrix& x, Matrix& y,
                   const LaneMask& mask) {
-  const std::size_t n = x.rows(), k = x.cols();
-  const kernels::KernelTable& kt = kernels::table();
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    kt.axpy_cols(c.data(), x.data().data() + lo * k, y.data().data() + lo * k,
-                 hi - lo, k, mask.data());
-  };
-  if (n * k < kParallelMinElems) {
-    body(0, n);
-  } else {
-    runtime::parallel_for_chunks(0, n, kRowGrain, body);
-  }
+  kernels::table().axpy_cols(c.data(), x.data().data(), y.data().data(),
+                             x.rows(), x.cols(), mask.data());
 }
 
 /// p(i,j) = z(i,j) + beta[j]·p(i,j) on active columns.
 void update_directions(const Matrix& z, const Coeffs& beta, Matrix& p,
                        const LaneMask& mask) {
-  const std::size_t n = z.rows(), k = z.cols();
-  const kernels::KernelTable& kt = kernels::table();
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    kt.xpby_cols(beta.data(), z.data().data() + lo * k,
-                 p.data().data() + lo * k, hi - lo, k, mask.data());
-  };
-  if (n * k < kParallelMinElems) {
-    body(0, n);
-  } else {
-    runtime::parallel_for_chunks(0, n, kRowGrain, body);
-  }
+  kernels::table().xpby_cols(beta.data(), z.data().data(), p.data().data(),
+                             z.rows(), z.cols(), mask.data());
 }
 
-}  // namespace
-
-BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
-                                       const Matrix& b,
-                                       const BlockLinearOperator& precond,
-                                       const CgOptions& opts,
-                                       const Matrix* initial_guess) {
+/// Block CG over columns [lo, hi) of `b`: every column in the range runs its
+/// single-vector recurrence in lockstep with the others. The solution goes
+/// into `x` (n×(hi-lo), zero on entry); the per-column report goes into
+/// entries lo..hi-1 of `res`, which no other group touches. Returns the
+/// number of block sweeps.
+std::size_t solve_column_group(const BlockLinearOperator& op, const Matrix& b,
+                               const BlockLinearOperator& precond,
+                               const CgOptions& opts,
+                               const Matrix* initial_guess, std::size_t lo,
+                               std::size_t hi, Matrix& x, BlockCgResult& res) {
   const std::size_t n = b.rows();
-  const std::size_t k = b.cols();
-  BlockCgResult res;
-  res.solutions = Matrix(n, k);
-  res.residuals.assign(k, 0.0);
-  res.iterations.assign(k, 0);
-  res.converged.assign(k, 0);
-  res.breakdown.assign(k, 0);
-  if (k == 0 || n == 0) return res;
-  if (initial_guess &&
-      (initial_guess->rows() != n || initial_guess->cols() != k))
-    throw std::invalid_argument("block_conjugate_gradient: bad guess shape");
+  const std::size_t k = hi - lo;
+  double* const residuals = res.residuals.data() + lo;
+  std::size_t* const iterations = res.iterations.data() + lo;
+  std::uint8_t* const converged = res.converged.data() + lo;
+  std::uint8_t* const breakdown = res.breakdown.data() + lo;
 
   const std::size_t kp = kernels::padded_cols(k);
-  Matrix r = b;
+  Matrix r(n, k);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto src = b.row(i).subspan(lo, k);
+    std::copy(src.begin(), src.end(), r.row(i).begin());
+  }
   const LaneMask all_mask = make_lane_mask(Mask(k, 1));
   if (opts.deflate_constant) deflate_columns(r, all_mask);
 
@@ -140,25 +123,25 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
   std::size_t num_active = 0;
   for (std::size_t j = 0; j < k; ++j) {
     if (bnorm[j] == 0.0) {
-      res.converged[j] = 1;  // x stays 0 — single CG's zero-rhs early return
+      converged[j] = 1;  // x stays 0 — single CG's zero-rhs early return
     } else {
       active[j] = 1;
       ++num_active;
     }
   }
-  if (num_active == 0) return res;
+  if (num_active == 0) return 0;
   LaneMask amask = make_lane_mask(active);
 
   if (initial_guess) {
     for (std::size_t i = 0; i < n; ++i) {
       const auto g = initial_guess->row(i);
-      auto x = res.solutions.row(i);
+      auto xi = x.row(i);
       for (std::size_t j = 0; j < k; ++j)
-        if (active[j]) x[j] = g[j];
+        if (active[j]) xi[j] = g[lo + j];
     }
-    if (opts.deflate_constant) deflate_columns(res.solutions, amask);
+    if (opts.deflate_constant) deflate_columns(x, amask);
     Matrix ax(n, k);
-    op(res.solutions, ax);
+    op(x, ax);
     if (opts.deflate_constant) deflate_columns(ax, amask);
     Coeffs minus_one(kp, 0.0);
     std::fill_n(minus_one.begin(), k, -1.0);
@@ -204,9 +187,9 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
     // early break, but per column.
     for (std::size_t j = 0; j < k; ++j) {
       if (active[j] && pap[j] <= 0.0) {
-        res.breakdown[j] = 1;
-        res.residuals[j] = tail_residual(j);
-        if (opts.deflate_constant) deflate_column(res.solutions, j);
+        breakdown[j] = 1;
+        residuals[j] = tail_residual(j);
+        if (opts.deflate_constant) deflate_column(x, j);
         active[j] = 0;
         --num_active;
       }
@@ -218,17 +201,17 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
       alpha[j] = rz[j] / pap[j];
       neg_alpha[j] = -alpha[j];
     }
-    axpy_columns(alpha, p, res.solutions, amask);
+    axpy_columns(alpha, p, x, amask);
     axpy_columns(neg_alpha, ap, r, amask);
     column_dots(r, r, amask, rnorm2);
     for (std::size_t j = 0; j < k; ++j) {
       if (!active[j]) continue;
-      res.iterations[j] = it + 1;
+      iterations[j] = it + 1;
       const double rel = std::sqrt(rnorm2[j]) / bnorm[j];
       if (rel < opts.tolerance) {
-        res.converged[j] = 1;
-        res.residuals[j] = rel;
-        if (opts.deflate_constant) deflate_column(res.solutions, j);
+        converged[j] = 1;
+        residuals[j] = rel;
+        if (opts.deflate_constant) deflate_column(x, j);
         active[j] = 0;
         --num_active;
       }
@@ -248,8 +231,63 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
   // Columns that exhausted the iteration budget.
   for (std::size_t j = 0; j < k; ++j) {
     if (!active[j]) continue;
-    res.residuals[j] = tail_residual(j);
-    if (opts.deflate_constant) deflate_column(res.solutions, j);
+    residuals[j] = tail_residual(j);
+    if (opts.deflate_constant) deflate_column(x, j);
+  }
+  return sweeps;
+}
+
+/// How many column groups a k-column solve splits into: at most one per
+/// pool lane and one per kColumnsPerGroup columns. Inside a parallel region
+/// the groups would run serially, so the block stays whole there.
+std::size_t column_group_count(std::size_t k) {
+  if (runtime::ThreadPool::in_parallel_region()) return 1;
+  const std::size_t by_width = (k + kColumnsPerGroup - 1) / kColumnsPerGroup;
+  return std::min(runtime::global_pool().num_threads(), by_width);
+}
+
+}  // namespace
+
+BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
+                                       const Matrix& b,
+                                       const BlockLinearOperator& precond,
+                                       const CgOptions& opts,
+                                       const Matrix* initial_guess) {
+  const std::size_t n = b.rows();
+  const std::size_t k = b.cols();
+  BlockCgResult res;
+  res.solutions = Matrix(n, k);
+  res.residuals.assign(k, 0.0);
+  res.iterations.assign(k, 0);
+  res.converged.assign(k, 0);
+  res.breakdown.assign(k, 0);
+  if (k == 0 || n == 0) return res;
+  if (initial_guess &&
+      (initial_guess->rows() != n || initial_guess->cols() != k))
+    throw std::invalid_argument("block_conjugate_gradient: bad guess shape");
+
+  // Column j is bit-identical to single-RHS CG on column j, so how the
+  // columns are grouped cannot change any result; the groups run
+  // concurrently in one pool region, and each group's own SpMM / kernel
+  // regions run inline on the lane that claimed it.
+  const std::size_t groups = column_group_count(k);
+  std::size_t sweeps = 0;
+  if (groups == 1) {
+    sweeps = solve_column_group(op, b, precond, opts, initial_guess, 0, k,
+                                res.solutions, res);
+  } else {
+    std::vector<std::size_t> group_sweeps(groups, 0);
+    runtime::parallel_for(0, groups, 1, [&](std::size_t g) {
+      const std::size_t lo = g * k / groups, hi = (g + 1) * k / groups;
+      Matrix x(n, hi - lo);
+      group_sweeps[g] = solve_column_group(op, b, precond, opts,
+                                           initial_guess, lo, hi, x, res);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto src = x.row(i);
+        std::copy(src.begin(), src.end(), res.solutions.row(i).begin() + lo);
+      }
+    });
+    for (const std::size_t s : group_sweeps) sweeps += s;
   }
   for (std::size_t j = 0; j < k; ++j) res.total_iterations += res.iterations[j];
 

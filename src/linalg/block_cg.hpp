@@ -45,6 +45,12 @@ struct BlockCgResult {
 /// (matching the single-vector kernels) and the blocked operator applies
 /// each column in the single-vector accumulation order.
 ///
+/// The k columns are split into min(pool width, ⌈k/4⌉) contiguous groups
+/// that are solved concurrently in one pool region, each as an ordinary
+/// block CG; the grouping follows the pool width, and by the contract above
+/// it cannot change a result bit. `op` and `precond` are therefore called
+/// concurrently on n×k_g sub-blocks and must be safe to call that way.
+///
 /// `precond` may be empty (identity). `initial_guess` (nullptr = zero start)
 /// warm-starts every column.
 [[nodiscard]] BlockCgResult block_conjugate_gradient(

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "graphs/effective_resistance.hpp"
@@ -16,6 +17,7 @@
 #include "linalg/rng.hpp"
 #include "linalg/tree_precond.hpp"
 #include "linalg/vector_ops.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace {
@@ -122,6 +124,67 @@ TEST(BlockCg, ThreadCountDoesNotChangeBits) {
   for (std::size_t i = 0; i < z1.rows(); ++i)
     for (std::size_t j = 0; j < z1.cols(); ++j)
       EXPECT_EQ(z1(i, j), z4(i, j));
+}
+
+/// A block solve splits its columns into min(pool width, ⌈k/4⌉) groups that
+/// run concurrently, so the grouping follows the pool width. Every split must
+/// reproduce per-column solve() bit-for-bit and do the same column
+/// iterations, under each preconditioner / regularization / warm start.
+TEST(BlockCg, ColumnGroupingDoesNotChangeBits) {
+  struct Setting {
+    const char* name;
+    SolverOptions opts;
+    bool guess;
+  };
+  SolverOptions tree;
+  tree.preconditioner = SolverPreconditioner::spanning_tree;
+  SolverOptions regularized;
+  regularized.regularization = 1e-4;
+  SolverOptions warm = regularized;
+  warm.preconditioner = SolverPreconditioner::spanning_tree;
+  const Setting settings[] = {{"jacobi", SolverOptions{}, false},
+                              {"tree", tree, false},
+                              {"regularized", regularized, false},
+                              {"initial-guess", warm, true}};
+  const std::size_t widths[] = {1, 2, 4};
+  const auto& registry = obs::MetricsRegistry::global();
+
+  std::uint64_t seed = 50;
+  for (const Setting& setting : settings) {
+    const Graph g = random_connected_graph(70, 90, ++seed);
+    const auto solver = graphs::make_laplacian_solver(g, setting.opts);
+    const bool singular = setting.opts.regularization == 0.0;
+    for (const std::size_t k : {5, 8, 24}) {
+      SCOPED_TRACE(std::string(setting.name) + " k=" + std::to_string(k));
+      const Matrix rhs = random_rhs(70, k, ++seed, singular);
+      const Matrix guess = random_rhs(70, k, ++seed, false);
+      const Matrix* guess_ptr = setting.guess ? &guess : nullptr;
+
+      runtime::set_global_threads(1);
+      std::vector<std::vector<double>> single(k);
+      for (std::size_t j = 0; j < k; ++j)
+        single[j] = guess_ptr ? solver.solve(rhs.col(j), guess.col(j))
+                              : solver.solve(rhs.col(j));
+
+      std::vector<std::uint64_t> column_iterations;
+      for (const std::size_t width : widths) {
+        runtime::set_global_threads(width);
+        const std::uint64_t before =
+            registry.counter_value("blockcg.column_iterations");
+        const Matrix z = solver.solve_block(rhs, guess_ptr);
+        column_iterations.push_back(
+            registry.counter_value("blockcg.column_iterations") - before);
+        for (std::size_t j = 0; j < k; ++j)
+          for (std::size_t i = 0; i < rhs.rows(); ++i)
+            ASSERT_EQ(z(i, j), single[j][i])
+                << "width " << width << " column " << j << " row " << i;
+      }
+      EXPECT_GT(column_iterations[0], 0u);
+      for (const std::uint64_t iters : column_iterations)
+        EXPECT_EQ(iters, column_iterations[0]);
+    }
+  }
+  runtime::set_global_threads(0);
 }
 
 TEST(BlockCg, ZeroColumnsConvergeImmediately) {

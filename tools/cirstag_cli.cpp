@@ -16,13 +16,17 @@
 // thread count). Netlists use the plain-text "cirstag-netlist 1" format
 // (circuit/io.hpp).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -167,15 +171,30 @@ constexpr const char* kUsage =
     "                       coarsen.coarsest_n, eigen.ritz_refine_sweeps,\n"
     "                       eigen.runs) for the CI counter gate\n";
 
+/// Flags every command accepts; apply_global_flags reads them.
+constexpr std::string_view kGlobalFlags[] = {
+    "threads",       "simd",   "trace-json", "metrics-json", "profile-folded",
+    "profile-hz",    "health", "log-json",   "log-level",    "manifest-json"};
+
 /// "--key value" option map for everything after the positional args.
 /// A trailing flag with no value is an error (it used to be silently
-/// dropped by the old `i + 1 < argc` loop bound).
-std::map<std::string, std::string> parse_options(int argc, char** argv,
-                                                 int start) {
+/// dropped by the old `i + 1 < argc` loop bound), and so is a flag that
+/// neither `accepted` nor kGlobalFlags names — a misspelt or retired flag
+/// must not run the command with its default.
+std::map<std::string, std::string> parse_options(
+    int argc, char** argv, int start,
+    std::initializer_list<std::string_view> accepted) {
   std::map<std::string, std::string> opts;
   for (int i = start; i < argc; i += 2) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       obs::logf_error("cli", "unexpected argument '%s'", argv[i]);
+      std::exit(2);
+    }
+    const std::string_view key = argv[i] + 2;
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end() &&
+        std::find(std::begin(kGlobalFlags), std::end(kGlobalFlags), key) ==
+            std::end(kGlobalFlags)) {
+      obs::logf_error("cli", "unknown option '%s'", argv[i]);
       std::exit(2);
     }
     if (i + 1 >= argc) {
@@ -397,7 +416,11 @@ void install_signal_handlers() {
 }
 
 int cmd_serve(int argc, char** argv) {
-  const auto opts = parse_options(argc, argv, 2);
+  const auto opts = parse_options(
+      argc, argv, 2,
+      {"port", "queue-capacity", "workers", "max-batch", "deadline-ms",
+       "access-log", "slow-trace", "slow-us", "slow-budget", "preload",
+       "preload-snapshot", "preload-name", "epochs", "hidden", "exact"});
   apply_global_flags(opts);
 
   serve::ServerOptions sopts;
@@ -485,7 +508,8 @@ int cmd_generate(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli generate <out.ckt> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 3);
+  const auto opts = parse_options(
+      argc, argv, 3, {"name", "gates", "inputs", "outputs", "levels", "seed"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
 
@@ -516,7 +540,7 @@ int cmd_sta(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli sta <in.ckt> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 3);
+  const auto opts = parse_options(argc, argv, 3, {"paths", "clock"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -611,7 +635,10 @@ int cmd_analyze(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli analyze <in.ckt> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 3);
+  const auto opts = parse_options(
+      argc, argv, 3,
+      {"scores", "epochs", "hidden", "top", "probes", "solver-precond",
+       "coarsen", "coarsen-levels", "coarsen-threshold", "perf-json"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -706,7 +733,10 @@ int cmd_sweep(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli sweep <in.ckt> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 3);
+  const auto opts = parse_options(
+      argc, argv, 3,
+      {"variants", "pins-per-variant", "factor", "exact", "audit-drift",
+       "epochs", "hidden", "seed", "scores"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -824,7 +854,8 @@ int cmd_snapshot(int argc, char** argv) {
                  "usage: cirstag_cli snapshot <in.ckt> <out.snap> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 4);
+  const auto opts =
+      parse_options(argc, argv, 4, {"epochs", "hidden", "exact"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -870,7 +901,7 @@ int cmd_montecarlo(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli montecarlo <in.ckt> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 3);
+  const auto opts = parse_options(argc, argv, 3, {"samples", "seed"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -895,7 +926,7 @@ int cmd_corners(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli corners <in.ckt>\n");
     return 2;
   }
-  apply_global_flags(parse_options(argc, argv, 3));
+  apply_global_flags(parse_options(argc, argv, 3, {}));
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
   const auto corners = standard_corners();
