@@ -232,15 +232,15 @@ void check_exposition_scrape(const std::string& text,
   std::fclose(f);
 }
 
-/// Sum of the rolling-window per-endpoint request counters — the gated
-/// windowed row. Deterministic because the run is far shorter than the
+/// Sum of the rolling-window per-endpoint latency histogram counts — the
+/// gated windowed row. Deterministic because the run is far shorter than the
 /// window: every scheduler-completed request is still in-window at readout.
 double window_requests_total() {
   double total = 0.0;
   for (const auto& entry :
-       cirstag::obs::WindowedRegistry::global().counter_snapshots()) {
-    if (entry.name.rfind("serve.window.requests.", 0) == 0)
-      total += static_cast<double>(entry.total);
+       cirstag::obs::WindowedRegistry::global().histogram_snapshots()) {
+    if (entry.name.rfind("serve.window.latency_ms.", 0) == 0)
+      total += static_cast<double>(entry.snap.count);
   }
   return total;
 }

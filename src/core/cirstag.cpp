@@ -151,11 +151,8 @@ CirStagReport run_pipeline(const CirStagConfig& config,
   CirStagReport report;
   report.timings.threads = runtime::global_pool().num_threads();
   obs::WallTimer timer;
-  runtime::TaskTimer task_timer;
-  const auto end_phase = [&](double& seconds, double& busy_seconds) {
+  const auto end_phase = [&](double& seconds) {
     seconds = timer.elapsed_seconds();
-    busy_seconds = task_timer.busy_seconds();
-    task_timer.reset();
     timer.reset();
   };
 
@@ -165,7 +162,6 @@ CirStagReport run_pipeline(const CirStagConfig& config,
   // output side; they are already low-dimensional.
   if (config.use_dimension_reduction) {
     const obs::TraceSpan span("phase.embedding", "pipeline");
-    const runtime::ScopedTaskTimer scope(task_timer);
     linalg::Matrix computed;
     if (hooks.spectral == nullptr)
       computed = spectral_embedding(input_graph, config.embedding);
@@ -181,8 +177,7 @@ CirStagReport run_pipeline(const CirStagConfig& config,
       report.input_embedding = u;
     }
   }
-  end_phase(report.timings.embedding_seconds,
-            report.timings.embedding_busy_seconds);
+  end_phase(report.timings.embedding_seconds);
 
   // Phase 2: kNN + PGM sparsification on both sides. Without dimension
   // reduction the raw input graph itself serves as the input manifold
@@ -192,39 +187,31 @@ CirStagReport run_pipeline(const CirStagConfig& config,
                           : build_manifold(embedding, config.manifold, &cache);
   };
   {
-    const runtime::ScopedTaskTimer scope(task_timer);
-    {
-      const obs::TraceSpan span("phase.manifold_x", "pipeline");
-      report.manifold_x =
-          config.use_dimension_reduction
-              ? build(report.input_embedding, ManifoldSide::input)
-              : input_graph;
-    }
-    {
-      const obs::TraceSpan span("phase.manifold_y", "pipeline");
-      report.manifold_y = build(output_embedding, ManifoldSide::output);
-    }
+    const obs::TraceSpan span("phase.manifold_x", "pipeline");
+    report.manifold_x =
+        config.use_dimension_reduction
+            ? build(report.input_embedding, ManifoldSide::input)
+            : input_graph;
   }
-  end_phase(report.timings.manifold_seconds,
-            report.timings.manifold_busy_seconds);
+  {
+    const obs::TraceSpan span("phase.manifold_y", "pipeline");
+    report.manifold_y = build(output_embedding, ManifoldSide::output);
+  }
+  end_phase(report.timings.manifold_seconds);
 
   // Phase 3: DMD spectrum + stability scores (Algorithm 1, steps 6-11).
-  StabilityResult stab;
-  {
-    const runtime::ScopedTaskTimer scope(task_timer);
-    stab = stability_scores(
-        report.manifold_x, report.manifold_y,
-        hooks.stability != nullptr ? *hooks.stability : config.stability,
-        &cache);
-  }
-  end_phase(report.timings.stability_seconds,
-            report.timings.stability_busy_seconds);
+  StabilityResult stab = stability_scores(
+      report.manifold_x, report.manifold_y,
+      hooks.stability != nullptr ? *hooks.stability : config.stability,
+      &cache);
+  end_phase(report.timings.stability_seconds);
 
   report.node_scores = std::move(stab.node_scores);
   report.edge_scores = std::move(stab.edge_scores);
   report.eigenvalues = std::move(stab.eigenvalues);
   report.weighted_subspace = std::move(stab.weighted_subspace);
-  if (hooks.stability_out != nullptr) *hooks.stability_out = std::move(stab);
+  if (hooks.subspace_sweeps_out != nullptr)
+    *hooks.subspace_sweeps_out = stab.subspace_sweeps;
   seal_report(input_graph, report);
   return report;
 }

@@ -38,23 +38,17 @@ struct CirStagConfig {
   std::size_t threads = 0;
 };
 
-/// Wall-clock per phase (Fig. 5 scalability series), plus the summed busy
-/// time of parallel runtime tasks inside each phase: busy/wall ≈ effective
-/// parallel speedup, so the Fig. 5 benchmarks can report per-phase scaling.
+/// Wall-clock per phase (Fig. 5 scalability series). Busy time is not kept
+/// here: the `runtime.pool.busy_ns` counter is the one source, read as a
+/// delta around the call (DESIGN.md §8). A restored snapshot baseline keeps
+/// the defaults — no phase ran in the restoring process.
 struct PhaseTimings {
   double embedding_seconds = 0.0;
   double manifold_seconds = 0.0;
   double stability_seconds = 0.0;
-  double embedding_busy_seconds = 0.0;
-  double manifold_busy_seconds = 0.0;
-  double stability_busy_seconds = 0.0;
   std::size_t threads = 1;  ///< pool width the analysis ran with
   [[nodiscard]] double total() const {
     return embedding_seconds + manifold_seconds + stability_seconds;
-  }
-  [[nodiscard]] double total_busy() const {
-    return embedding_busy_seconds + manifold_busy_seconds +
-           stability_busy_seconds;
   }
 };
 
@@ -145,9 +139,9 @@ struct PipelineHooks {
   std::function<graphs::Graph(const linalg::Matrix&, ManifoldSide)> manifold;
   /// Phase 3 options. Null = config.stability.
   const StabilityOptions* stability = nullptr;
-  /// Receives what is left of the Phase-3 result once the report took the
-  /// scores (raw eigenbasis, executed sweep count).
-  StabilityResult* stability_out = nullptr;
+  /// Receives the Phase-3 subspace sweeps executed — the one part of the
+  /// StabilityResult the report does not take.
+  std::size_t* subspace_sweeps_out = nullptr;
 };
 
 /// Algorithm 1, Phases 1-3, plus report assembly: the one implementation

@@ -37,7 +37,11 @@ graphs::Graph finish_manifold(graphs::Graph knn, const ManifoldOptions& opts,
   static const obs::Counter knn_edges("manifold.knn_edges");
   static const obs::Counter final_edges("manifold.final_edges");
   builds.add();
-  if (opts.normalize_weights) knn = normalize_median_weight(knn);
+  // Stability scores are invariant to a global rescaling of each manifold,
+  // but the absolute scale of 1/dist² weights varies wildly across
+  // embeddings and would otherwise wreck the conditioning of the Laplacian
+  // solves in Phase 3.
+  knn = normalize_median_weight(knn);
   knn = graphs::connect_components(knn, opts.bridge_weight);
   knn_edges.add(knn.num_edges());
   if (!opts.apply_sparsification) {

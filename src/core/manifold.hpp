@@ -15,13 +15,9 @@ struct ManifoldOptions {
   /// (ablation knob; the paper's full pipeline sparsifies).
   bool apply_sparsification = true;
   /// Weight used for bridges inserted to reconnect kNN components
-  /// (relative to the post-normalization scale).
+  /// (relative to the post-normalization scale, where the median kNN
+  /// weight is 1).
   double bridge_weight = 1e-3;
-  /// Rescale edge weights so the median weight is 1. Stability scores are
-  /// invariant to a global rescaling of each manifold, but the absolute
-  /// scale of 1/dist² weights varies wildly across embeddings and would
-  /// otherwise wreck the conditioning of the Laplacian solves in Phase 3.
-  bool normalize_weights = true;
 };
 
 /// Build a graph-based manifold over embedding rows: kNN graph with

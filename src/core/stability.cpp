@@ -106,8 +106,7 @@ StabilityResult stability_scores(const graphs::Graph& manifold_x,
         const graphs::Graph* px = &manifold_x;
         const graphs::Graph* py = &manifold_y;
         for (std::size_t l = 0; l < maps.size(); ++l) {
-          const std::size_t nc =
-              opts.hierarchy_reuse->x_levels[l].num_nodes();
+          const std::size_t nc = opts.hierarchy_reuse->level_nodes[l];
           hier.x_levels.push_back(graphs::aggregate_graph(*px, maps[l], nc));
           hier.y_levels.push_back(graphs::aggregate_graph(*py, maps[l], nc));
           px = &hier.x_levels.back();
@@ -131,8 +130,13 @@ StabilityResult stability_scores(const graphs::Graph& manifold_x,
       static const obs::Gauge coarsest_gauge("coarsen.coarsest_n");
       levels_gauge.set(static_cast<double>(stats.levels));
       coarsest_gauge.set(static_cast<double>(stats.coarsest_n));
-      if (opts.hierarchy_capture != nullptr && !reuse)
-        *opts.hierarchy_capture = std::move(hier);
+      if (opts.hierarchy_capture != nullptr && !reuse) {
+        graphs::CoarsenMaps& capture = *opts.hierarchy_capture;
+        capture.level_nodes.clear();
+        for (const graphs::Graph& level : hier.x_levels)
+          capture.level_nodes.push_back(level.num_nodes());
+        capture.maps = std::move(hier.maps);
+      }
     } else {
       eig =
           linalg::generalized_eigen_sparse(l_x, l_y, eopts, ly_solver.get());
@@ -147,7 +151,6 @@ StabilityResult stability_scores(const graphs::Graph& manifold_x,
   StabilityResult out;
   out.subspace_sweeps = eig.sweeps_executed;
   out.eigenvalues = eig.values;
-  out.raw_subspace = eig.vectors;
   const std::size_t s = eig.values.size();
   out.weighted_subspace = linalg::Matrix(n, s);
   std::vector<double> col_weight(s);

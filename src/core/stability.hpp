@@ -39,10 +39,11 @@ struct StabilityOptions {
   /// coarsen.auto_threshold nodes and above.
   graphs::CoarsenOptions coarsen;
   /// Capture slot for the pair hierarchy the multilevel path builds: when
-  /// set and the multilevel path runs, the hierarchy is moved here after the
-  /// solve so a sweep engine can reuse it across variants (DESIGN.md §13).
-  /// Left untouched when the multilevel path does not engage.
-  graphs::CoarsenPairHierarchy* hierarchy_capture = nullptr;
+  /// set and the multilevel path runs, its maps and level sizes are moved
+  /// here after the solve so a sweep engine can reuse them across variants
+  /// (DESIGN.md §13). Left untouched when the multilevel path does not
+  /// engage.
+  graphs::CoarsenMaps* hierarchy_capture = nullptr;
   /// Reuse a previously captured hierarchy instead of re-matching: the
   /// baseline's prolongation maps are kept verbatim and only the Galerkin
   /// edge-weight aggregation is recomputed for THIS call's manifolds (valid
@@ -50,7 +51,7 @@ struct StabilityOptions {
   /// weights/edges, never the node count). Ignored unless the multilevel
   /// path engages and the map's fine dimension matches; each use bumps the
   /// deterministic coarsen.hierarchy_reuses counter.
-  const graphs::CoarsenPairHierarchy* hierarchy_reuse = nullptr;
+  const graphs::CoarsenMaps* hierarchy_reuse = nullptr;
 };
 
 /// Phase-3 output: the DMD spectrum and per-edge/per-node stability scores.
@@ -60,8 +61,6 @@ struct StabilityResult {
   std::vector<double> eigenvalues;
   /// Weighted eigensubspace V_s = [v_1 √ζ_1, ..., v_s √ζ_s].
   linalg::Matrix weighted_subspace;
-  /// Unweighted converged eigenvectors (columns).
-  linalg::Matrix raw_subspace;
   /// ‖V_sᵀ e_pq‖² for every edge of the input manifold G_X.
   std::vector<double> edge_scores;
   /// Eq. 9 node scores: neighbor-average of incident edge scores over G_X.

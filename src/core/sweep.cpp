@@ -112,11 +112,9 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
     throw std::invalid_argument(
         "SweepEngine: snapshot manifolds do not match the netlist");
   u0_ = std::move(state.u0);
-  raw_subspace0_ = std::move(state.raw_subspace0);
   mx_base_ = std::move(state.mx);
   my_base_ = std::move(state.my);
   hier0_ = std::move(state.hier0);
-  hier_key_ = state.hier_key;
   baseline_ = std::move(state.baseline);
   // Re-derive the adopted report's checksums and re-run its sentinels, so
   // the restored baseline carries provenance and a health window of its own.
@@ -162,12 +160,9 @@ SweepBaselineState SweepEngine::export_baseline_state() {
   SweepBaselineState state;
   state.baseline = baseline_;
   state.u0 = u0_;
-  state.raw_subspace0 = raw_subspace0_;
   state.mx = mx_base_;
   state.my = my_base_;
   state.hier0 = hier0_;
-  state.hier_key = hier_key_;
-  state.baseline_seconds = stats_.baseline_seconds;
   // Export the variant-phase solver's tree factorization (builds through
   // the shared cache when no variant has demanded it yet — snapshot-write
   // time, so the one-off cost is fine).
@@ -221,13 +216,9 @@ void SweepEngine::build_baseline(const graphs::Graph& input_graph,
   StabilityOptions so = opts_.config.stability;
   so.hierarchy_capture = &hier0_;
   hooks.stability = &so;
-  StabilityResult stab;
-  hooks.stability_out = &stab;
   baseline_ = run_pipeline(opts_.config, input_graph, node_features,
                            output_embedding, cache_, hooks);
   baseline_.health = obs::HealthMonitor::global().collect_since(health_begin);
-  raw_subspace0_ = std::move(stab.raw_subspace);
-  if (!hier0_.empty()) hier_key_ = baseline_.manifold_x.fingerprint();
 }
 
 std::vector<SweepVariantResult> SweepEngine::run(
@@ -343,7 +334,6 @@ SweepVariantResult SweepEngine::run_case_a(const SweepVariant& v,
   // The pin graph is untouched by capacitance edits, so the baseline
   // spectral embedding is reused verbatim in both modes; only the feature
   // channel moves (refit on the variant, as analyze() does).
-  out.stats.spectral_reused = opts_.config.use_dimension_reduction;
   finish_variant(out, pin_graph_, fv, inc.embedding, &u0_);
   if (!opts_.exact && opts_.audit_drift)
     audit_variant_drift(out, pin_graph_, fv, inc.embedding, index);
@@ -443,18 +433,15 @@ void SweepEngine::finish_variant(SweepVariantResult& out,
     // Hierarchy reuse (DESIGN.md §13): variants perturb manifold
     // weights/edges but keep the node set, so the baseline's prolongation
     // maps stay valid and the multilevel path only re-aggregates edge
-    // weights through them instead of re-matching every level. Exact mode
-    // stays on the fresh-matching path for byte-identity with the naive
-    // loop.
-    if (!hier0_.empty() && input_graph.num_nodes() == hier_key_.nodes)
-      so.hierarchy_reuse = &hier0_;
+    // weights through them instead of re-matching every level (it checks
+    // the node count itself). Exact mode stays on the fresh-matching path
+    // for byte-identity with the naive loop.
+    so.hierarchy_reuse = &hier0_;
   }
   hooks.stability = &so;
-  StabilityResult stab;
-  hooks.stability_out = &stab;
+  hooks.subspace_sweeps_out = &out.stats.subspace_sweeps;
   out.report = run_pipeline(cfg, input_graph, node_features, output_embedding,
                             cache_, hooks);
-  out.stats.subspace_sweeps = stab.subspace_sweeps;
 }
 
 std::vector<double> SweepEngine::predict_case_a(

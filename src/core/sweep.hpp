@@ -101,7 +101,6 @@ struct SweepVariantStats {
   gnn::GnnIncrementalStats gnn;       ///< Case A
   graphs::KnnUpdateStats knn_x;       ///< fast Case A
   graphs::KnnUpdateStats knn_y;       ///< fast Case A
-  bool spectral_reused = false;       ///< input embedding taken from baseline
   /// Phase-3 subspace sweeps executed (< the config budget when the fast
   /// mode's adaptive Ritz stop converged early). Deterministic.
   std::size_t subspace_sweeps = 0;
@@ -135,26 +134,24 @@ struct SweepStats {
 
 /// The warm baseline state of a Case-A SweepEngine — everything expensive
 /// the constructor computes (spectral embedding, manifolds, Phase-3
-/// eigensolve, coarsening hierarchy, preconditioner factorization), exported
+/// eigensolve, coarsening maps, preconditioner factorization), exported
 /// for binary snapshots (io/snapshot) and re-adopted by the restoring
 /// constructor, which then skips the eigensolves entirely (eigen.runs == 0).
-/// Cheap derived state (pin graph, feature matrix, GNN forward snapshot,
-/// incremental-STA baseline) is deliberately absent: the restore path
-/// recomputes it deterministically from the netlist and trained model.
+/// Every field has a reader there. Cheap derived state (pin graph, feature
+/// matrix, GNN forward snapshot, incremental-STA baseline, the report's
+/// checksums) is deliberately absent: the restore path recomputes it
+/// deterministically from the netlist and trained model.
 struct SweepBaselineState {
   CirStagReport baseline;          ///< full baseline report (incl. manifolds)
   linalg::Matrix u0;               ///< baseline spectral embedding
-  linalg::Matrix raw_subspace0;    ///< baseline eigenbasis
   ManifoldBaseline mx;             ///< input-side kNN baseline (fast mode)
   ManifoldBaseline my;             ///< output-side kNN baseline (fast mode)
-  graphs::CoarsenPairHierarchy hier0;  ///< baseline pair hierarchy (if any)
-  graphs::GraphFingerprint hier_key;   ///< capture-time manifold_x key
+  graphs::CoarsenMaps hier0;       ///< baseline Phase-3 maps (if any)
   /// Factored spanning-tree preconditioner of the variant-phase
   /// (L_Y + I/σ²) solver; empty when the options select Jacobi. Restore
   /// pre-seeds the engine's solver cache with it so the first variant skips
   /// the Kruskal + BFS + LDLᵀ build.
   linalg::TreeFactorization variant_tree;
-  double baseline_seconds = 0.0;   ///< original baseline-capture wall time
 };
 
 /// Batched perturbation-sweep engine: analyzes one baseline circuit plus N
@@ -267,20 +264,15 @@ class SweepEngine {
 
   // Baseline artifacts shared by every variant.
   linalg::Matrix u0_;                 ///< baseline spectral embedding
-  linalg::Matrix raw_subspace0_;      ///< baseline eigenbasis (snapshots)
   ManifoldBaseline mx_base_;          ///< input-side kNN baseline (fast)
   ManifoldBaseline my_base_;          ///< output-side kNN baseline (fast)
-  /// Baseline Phase-3 pair hierarchy, captured when the multilevel path
-  /// engaged at baseline time; fast-mode variants whose manifolds keep the
-  /// baseline node set re-enter multilevel_eigen with these prolongation
+  /// Baseline Phase-3 pair-hierarchy maps, captured when the multilevel
+  /// path engaged at baseline time; fast-mode variants whose manifolds keep
+  /// the baseline node set re-enter multilevel_eigen with these prolongation
   /// maps and only re-aggregate edge weights (counter
   /// coarsen.hierarchy_reuses; DESIGN.md §13). Exact mode never reuses —
   /// its contract is byte-identity with the naive per-variant analyze().
-  graphs::CoarsenPairHierarchy hier0_;
-  /// Fingerprint of the baseline manifold_x at capture time — the cache
-  /// key: reuse requires the variant manifold to share the node set
-  /// (`nodes` must match; edge content may differ, that is the point).
-  graphs::GraphFingerprint hier_key_;
+  graphs::CoarsenMaps hier0_;
   CirStagReport baseline_;
   circuit::TimingReport baseline_timing_;
 

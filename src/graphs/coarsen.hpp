@@ -128,4 +128,15 @@ struct CoarsenPairHierarchy {
                                                 const Graph& y,
                                                 const CoarsenOptions& opts);
 
+/// The part of a pair hierarchy that outlives its solve: the prolongation
+/// maps and each coarse level's node count, without the coarse graphs. A
+/// sweep engine keeps it to re-aggregate variant manifolds through the
+/// baseline matching (DESIGN.md §13); aggregate_graph checks every map
+/// against its graph and level size, which guards maps read from a file.
+struct CoarsenMaps {
+  std::vector<std::vector<std::uint32_t>> maps;
+  std::vector<std::size_t> level_nodes;  ///< aggregates of maps[l]
+  [[nodiscard]] bool empty() const { return maps.empty(); }
+};
+
 }  // namespace cirstag::graphs

@@ -234,23 +234,11 @@ void write_report(ByteWriter& w, const core::CirStagReport& rep) {
   write_graph(w, rep.manifold_x);
   write_graph(w, rep.manifold_y);
   write_matrix(w, rep.input_embedding);
-  w.f64(rep.timings.embedding_seconds);
-  w.f64(rep.timings.manifold_seconds);
-  w.f64(rep.timings.stability_seconds);
-  w.f64(rep.timings.embedding_busy_seconds);
-  w.f64(rep.timings.manifold_busy_seconds);
-  w.f64(rep.timings.stability_busy_seconds);
-  w.u64(rep.timings.threads);
-  w.u64(rep.checksums.input_graph);
-  w.u64(rep.checksums.embedding);
-  w.u64(rep.checksums.manifold_x);
-  w.u64(rep.checksums.manifold_y);
-  w.u64(rep.checksums.eigenvalues);
-  w.u64(rep.checksums.node_scores);
-  w.u64(rep.checksums.edge_scores);
-  w.f64(rep.node_score_mean);
-  // HealthReport is deliberately not serialized: restored circuits start
-  // with a clean health ledger (events belong to the run that raised them).
+  // Only the phase outputs are stored. The checksums and node_score_mean
+  // are re-derived by seal_report on restore; the timings and the
+  // HealthReport belong to the run that produced them, not to the restoring
+  // process. Leaving them out also keeps the file a pure function of the
+  // netlist, the GNN options and the config.
 }
 
 core::CirStagReport read_report(ByteReader& r, const std::string& path) {
@@ -262,21 +250,6 @@ core::CirStagReport read_report(ByteReader& r, const std::string& path) {
   rep.manifold_x = read_graph(r, path);
   rep.manifold_y = read_graph(r, path);
   rep.input_embedding = read_matrix(r, path);
-  rep.timings.embedding_seconds = r.f64();
-  rep.timings.manifold_seconds = r.f64();
-  rep.timings.stability_seconds = r.f64();
-  rep.timings.embedding_busy_seconds = r.f64();
-  rep.timings.manifold_busy_seconds = r.f64();
-  rep.timings.stability_busy_seconds = r.f64();
-  rep.timings.threads = r.u64();
-  rep.checksums.input_graph = r.u64();
-  rep.checksums.embedding = r.u64();
-  rep.checksums.manifold_x = r.u64();
-  rep.checksums.manifold_y = r.u64();
-  rep.checksums.eigenvalues = r.u64();
-  rep.checksums.node_scores = r.u64();
-  rep.checksums.edge_scores = r.u64();
-  rep.node_score_mean = r.f64();
   return rep;
 }
 
@@ -343,7 +316,6 @@ std::vector<std::uint8_t> build_sweep_section(
   ByteWriter w;
   write_report(w, s.baseline);
   write_matrix(w, s.u0);
-  write_matrix(w, s.raw_subspace0);
   const bool has_knn = s.mx.knn.points.rows() > 0 || s.my.knn.points.rows() > 0;
   w.u8(has_knn ? 1 : 0);
   if (has_knn) {
@@ -355,12 +327,8 @@ std::vector<std::uint8_t> build_sweep_section(
   w.u64(s.hier0.maps.size());
   for (std::size_t l = 0; l < s.hier0.maps.size(); ++l) {
     w.array<std::uint32_t>(s.hier0.maps[l]);
-    write_graph(w, s.hier0.x_levels[l]);
-    write_graph(w, s.hier0.y_levels[l]);
+    w.u64(s.hier0.level_nodes[l]);
   }
-  w.u64(s.hier_key.hash);
-  w.u64(s.hier_key.nodes);
-  w.u64(s.hier_key.edges);
   w.u8(s.variant_tree.empty() ? 0 : 1);
   if (!s.variant_tree.empty()) {
     w.array<std::uint32_t>(s.variant_tree.parent());
@@ -368,7 +336,6 @@ std::vector<std::uint8_t> build_sweep_section(
     w.array<double>(s.variant_tree.multipliers());
     w.array<double>(s.variant_tree.inv_diag());
   }
-  w.f64(s.baseline_seconds);
   return w.bytes();
 }
 
@@ -582,7 +549,6 @@ SnapshotData read_snapshot(const std::string& path,
       core::SweepBaselineState& s = data.state;
       s.baseline = read_report(r, path);
       s.u0 = read_matrix(r, path);
-      s.raw_subspace0 = read_matrix(r, path);
       if (r.u8() != 0) {
         s.mx.knn = read_knn_baseline(r, path);
         s.mx.manifold = read_graph(r, path);
@@ -590,16 +556,18 @@ SnapshotData read_snapshot(const std::string& path,
         s.my.manifold = read_graph(r, path);
       }
       const std::uint64_t levels = r.u64();
-      if (levels > sweep_span.size() / 24)
+      if (levels > sweep_span.size() / 16)
         fail(path, "hierarchy level count exceeds section size");
       for (std::uint64_t l = 0; l < levels; ++l) {
         s.hier0.maps.push_back(r.array<std::uint32_t>());
-        s.hier0.x_levels.push_back(read_graph(r, path));
-        s.hier0.y_levels.push_back(read_graph(r, path));
+        // A map of k fine nodes makes at most k aggregates; this bounds the
+        // coarse graph a corrupt size could allocate. The entries themselves
+        // are range-checked by aggregate_graph when the maps are reused.
+        const std::uint64_t nodes = r.u64();
+        if (nodes > s.hier0.maps.back().size())
+          fail(path, "hierarchy level size exceeds its map");
+        s.hier0.level_nodes.push_back(nodes);
       }
-      s.hier_key.hash = r.u64();
-      s.hier_key.nodes = r.u64();
-      s.hier_key.edges = r.u64();
       if (r.u8() != 0) {
         std::vector<std::uint32_t> parent = r.array<std::uint32_t>();
         std::vector<std::uint32_t> order = r.array<std::uint32_t>();
@@ -609,7 +577,6 @@ SnapshotData read_snapshot(const std::string& path,
             std::move(parent), std::move(order), std::move(mult),
             std::move(inv_diag));
       }
-      s.baseline_seconds = r.f64();
     }
   } catch (const SnapshotError&) {
     throw;

@@ -17,8 +17,11 @@ namespace cirstag::io {
 /// Binary circuit-snapshot format (DESIGN.md §13): one versioned,
 /// checksummed container holding everything expensive about a resident
 /// circuit — the finalized netlist, the trained GNN weights, and the sweep
-/// engine's warm baseline (spectral embedding, manifolds, Phase-3 report and
-/// eigenbasis, coarsening hierarchy, factored spanning-tree preconditioner).
+/// engine's warm baseline (spectral embedding, manifolds, Phase-3 report,
+/// coarsening maps, factored spanning-tree preconditioner). It stores only
+/// what the restore path reads, so a file's bytes are a pure function of
+/// the netlist, the GNN options and the config — never of the thread count
+/// or the wall clock.
 /// Restoring a snapshot re-trains nothing and re-solves nothing: the restore
 /// path runs zero eigensolves (`eigen.runs` stays 0) and zero training
 /// epochs (`gnn.train_epochs` stays 0); only the cheap derived state (pin
@@ -35,7 +38,9 @@ namespace cirstag::io {
 /// "snapshot.corrupt" health event; a corrupt file can never crash the
 /// reader or produce a half-restored circuit.
 
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// A file of any other version fails with "unsupported format version";
+/// snapshots are derived artifacts, regenerated from the netlist.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /// Every snapshot failure mode (I/O, corruption, shape mismatch).
 class SnapshotError : public std::runtime_error {

@@ -13,18 +13,8 @@ namespace cirstag::runtime {
 namespace {
 
 thread_local bool t_in_parallel_region = false;
-// Per-thread, not process-wide: with the serve daemon several threads
-// orchestrate pipelines concurrently, and a shared slot lets thread A's
-// run() capture a TaskTimer living on thread B's stack — a dangling
-// pointer once B's frame unwinds. Scope save/restore needs no atomics
-// when the slot is thread-local.
-thread_local TaskTimer* t_active_timer = nullptr;
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 std::uint64_t ns_since(Clock::time_point t0) {
   return static_cast<std::uint64_t>(
@@ -33,7 +23,8 @@ std::uint64_t ns_since(Clock::time_point t0) {
 }
 
 /// Pool-wide counters; worker time spent parked waiting for work vs.
-/// executing tasks. Reads clocks already taken for TaskTimer where possible.
+/// executing tasks. busy_ns is the process's one busy-time source (the CLI,
+/// perfbench and /stats all read its deltas).
 const obs::Counter& pool_idle_ns() {
   static const obs::Counter c("runtime.pool.idle_ns");
   return c;
@@ -44,14 +35,6 @@ const obs::Counter& pool_busy_ns() {
 }
 
 }  // namespace
-
-ScopedTaskTimer::ScopedTaskTimer(TaskTimer& timer) : previous_(t_active_timer) {
-  t_active_timer = &timer;
-}
-
-ScopedTaskTimer::~ScopedTaskTimer() { t_active_timer = previous_; }
-
-TaskTimer* active_task_timer() { return t_active_timer; }
 
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("CIRSTAG_THREADS")) {
@@ -115,7 +98,7 @@ void ThreadPool::drain(Job& job, bool install_prefix) {
   const obs::ScopedRequestBinding binding(
       install_prefix ? job.request_ref : obs::RequestRef{});
   t_in_parallel_region = true;
-  double busy = 0.0;
+  std::uint64_t busy_ns = 0;
   std::size_t executed = 0;
   for (;;) {
     const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
@@ -129,7 +112,7 @@ void ThreadPool::drain(Job& job, bool install_prefix) {
         if (!job.error) job.error = std::current_exception();
         job.cancel.store(true, std::memory_order_relaxed);
       }
-      busy += seconds_since(t0);
+      busy_ns += ns_since(t0);
       ++executed;
     }
     if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
@@ -139,46 +122,37 @@ void ThreadPool::drain(Job& job, bool install_prefix) {
     }
   }
   t_in_parallel_region = false;
-  if (job.timer != nullptr && executed > 0) job.timer->add(busy, executed);
   if (executed > 0) {
     static const obs::Counter claimed("runtime.pool.tasks");
     claimed.add(executed);
-    pool_busy_ns().add(static_cast<std::uint64_t>(busy * 1e9));
+    pool_busy_ns().add(busy_ns);
   }
 }
 
 void ThreadPool::run_serial(std::size_t num_tasks,
-                            const std::function<void(std::size_t)>& task,
-                            TaskTimer* timer) {
+                            const std::function<void(std::size_t)>& task) {
+  // Nested regions already run inside an outer task, which keeps the flag
+  // set; only the outermost serial region clears it again.
   const bool outer = !t_in_parallel_region;
-  if (!outer) timer = nullptr;  // nested time is already inside the outer task
   t_in_parallel_region = true;
-  double busy = 0.0;
   try {
-    for (std::size_t i = 0; i < num_tasks; ++i) {
-      const auto t0 = Clock::now();
-      task(i);
-      busy += seconds_since(t0);
-    }
+    for (std::size_t i = 0; i < num_tasks; ++i) task(i);
   } catch (...) {
     if (outer) t_in_parallel_region = false;
-    if (timer != nullptr) timer->add(busy, num_tasks);
     throw;
   }
   if (outer) t_in_parallel_region = false;
-  if (timer != nullptr && num_tasks > 0) timer->add(busy, num_tasks);
 }
 
 void ThreadPool::run(std::size_t num_tasks,
                      const std::function<void(std::size_t)>& task) {
   if (num_tasks == 0) return;
-  TaskTimer* timer = active_task_timer();
   if (workers_.empty() || num_tasks == 1 || t_in_parallel_region) {
     static const obs::Counter serial_runs("runtime.pool.serial_runs");
     static const obs::Counter serial_tasks("runtime.pool.serial_tasks");
     serial_runs.add();
     serial_tasks.add(num_tasks);
-    run_serial(num_tasks, task, timer);
+    run_serial(num_tasks, task);
     return;
   }
   static const obs::Counter runs("runtime.pool.runs");
@@ -190,7 +164,6 @@ void ThreadPool::run(std::size_t num_tasks,
   Job job;
   job.task = &task;
   job.num_tasks = num_tasks;
-  job.timer = timer;
   if (obs::span_stacks_enabled()) job.span_prefix = obs::current_span_path();
   job.request_ref = obs::current_request_ref();
   {

@@ -13,53 +13,6 @@
 
 namespace cirstag::runtime {
 
-/// Accumulates the busy time of parallel tasks (sum over all workers), so a
-/// phase can report busy/wall ≈ effective parallel speedup (Fig. 5 series).
-/// All methods are thread-safe.
-class TaskTimer {
- public:
-  void add(double seconds, std::size_t tasks) {
-    busy_ns_.fetch_add(static_cast<std::uint64_t>(seconds * 1e9),
-                       std::memory_order_relaxed);
-    tasks_.fetch_add(tasks, std::memory_order_relaxed);
-  }
-  [[nodiscard]] double busy_seconds() const {
-    return static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) * 1e-9;
-  }
-  [[nodiscard]] std::size_t tasks() const {
-    return tasks_.load(std::memory_order_relaxed);
-  }
-  void reset() {
-    busy_ns_.store(0, std::memory_order_relaxed);
-    tasks_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> busy_ns_{0};
-  std::atomic<std::uint64_t> tasks_{0};
-};
-
-/// Installs `timer` as this thread's active task timer for the scope;
-/// every ThreadPool::run submitted from this thread while it is installed
-/// accounts its tasks' busy time into it. The slot is thread-local on
-/// purpose: orchestration threads (CLI pipeline, serve scheduler lanes)
-/// run concurrently, and each must attribute only its own parallel
-/// regions — a shared slot would let one thread capture a timer living on
-/// another thread's stack.
-class ScopedTaskTimer {
- public:
-  explicit ScopedTaskTimer(TaskTimer& timer);
-  ~ScopedTaskTimer();
-  ScopedTaskTimer(const ScopedTaskTimer&) = delete;
-  ScopedTaskTimer& operator=(const ScopedTaskTimer&) = delete;
-
- private:
-  TaskTimer* previous_;
-};
-
-/// The calling thread's currently installed TaskTimer (nullptr when none).
-[[nodiscard]] TaskTimer* active_task_timer();
-
 /// Fixed-size thread pool (no work stealing): `num_threads` total execution
 /// lanes, of which one is the calling thread — a pool of width 1 spawns no
 /// workers and runs everything inline.
@@ -76,6 +29,12 @@ class ScopedTaskTimer {
 /// Nested run() calls issued from inside a task execute serially inline on
 /// the claiming thread (no deadlock, no oversubscription). Concurrent run()
 /// calls from distinct external threads are serialized.
+///
+/// Accounting goes to the process-wide `runtime.pool.*` counters only
+/// (DESIGN.md §8): a pooled region bumps `runs`, `submitted_tasks`, `tasks`
+/// and adds each task's wall time to `busy_ns`; a serial region (width 1,
+/// one task, or nested) bumps `serial_runs` / `serial_tasks` and reads no
+/// clock — nested time is already inside the enclosing task's.
 class ThreadPool {
  public:
   /// `num_threads` = 0 resolves via default_thread_count() (CIRSTAG_THREADS
@@ -100,7 +59,6 @@ class ThreadPool {
   struct Job {
     const std::function<void(std::size_t)>* task = nullptr;
     std::size_t num_tasks = 0;
-    TaskTimer* timer = nullptr;
     /// Submitting thread's span path (profiler attribution): workers push
     /// these names while draining, so their samples fold under the phase
     /// that launched the parallel region. Empty when span stacks are off.
@@ -121,9 +79,8 @@ class ThreadPool {
   /// `install_prefix` is true only on the worker path — the submitting
   /// thread's own stack already holds job.span_prefix.
   void drain(Job& job, bool install_prefix);
-  void run_serial(std::size_t num_tasks,
-                  const std::function<void(std::size_t)>& task,
-                  TaskTimer* timer);
+  static void run_serial(std::size_t num_tasks,
+                         const std::function<void(std::size_t)>& task);
 
   std::vector<std::thread> workers_;
   std::mutex run_mutex_;  // serializes external run() calls

@@ -217,12 +217,13 @@ TEST(Coarsen, ReusedHierarchyEigensolveAgreement) {
   opts.coarsen.auto_threshold = 0;
   opts.coarsen.coarsest_target = 64;
 
-  CoarsenPairHierarchy hier;
+  graphs::CoarsenMaps hier;
   core::StabilityOptions capture = opts;
   capture.hierarchy_capture = &hier;
   (void)core::stability_scores(x, y, capture);
   ASSERT_FALSE(hier.empty());
   ASSERT_EQ(hier.maps[0].size(), x.num_nodes());
+  ASSERT_EQ(hier.level_nodes.size(), hier.maps.size());
 
   // A variant perturbs edge weights over the same node set — exactly what
   // sweep variants do to the manifolds.

@@ -121,18 +121,6 @@ TEST(ObsWindow, QuantilesDescribeOnlyTheWindow) {
   EXPECT_LE(snap.quantile(0.99), 1.0);  // the slow burst decayed away
 }
 
-TEST(ObsWindow, CounterTotalAndRateDecay) {
-  obs::WindowedCounter counter(tiny_window());
-  counter.add_at(10, 0.0);
-  counter.add_at(5, 1.0 * kSlotUs);
-  EXPECT_EQ(counter.total_at(1.0 * kSlotUs), 15u);
-  EXPECT_DOUBLE_EQ(counter.rate_per_second_at(1.0 * kSlotUs),
-                   15.0 / counter.window_seconds());
-  // Slot 0's events age out; slot 1's survive until slot 5.
-  EXPECT_EQ(counter.total_at(4.5 * kSlotUs), 5u);
-  EXPECT_EQ(counter.total_at(50.0 * kSlotUs), 0u);
-}
-
 TEST(ObsWindow, RegistryHandsOutStableReferences) {
   auto& registry = obs::WindowedRegistry::global();
   registry.reset();
@@ -141,25 +129,16 @@ TEST(ObsWindow, RegistryHandsOutStableReferences) {
       registry.histogram("test.win.hist", {99.0});  // bounds ignored on refetch
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.bounds().size(), 2u);
-  obs::WindowedCounter& c = registry.counter("test.win.count");
-  EXPECT_EQ(&c, &registry.counter("test.win.count"));
 
   a.observe(1.5);
-  c.add(3);
-  bool saw_hist = false, saw_count = false;
+  bool saw_hist = false;
   for (const auto& entry : registry.histogram_snapshots()) {
     if (entry.name != "test.win.hist") continue;
     saw_hist = true;
     EXPECT_EQ(entry.snap.count, 1u);
     EXPECT_GT(entry.window_seconds, 0.0);
   }
-  for (const auto& entry : registry.counter_snapshots()) {
-    if (entry.name != "test.win.count") continue;
-    saw_count = true;
-    EXPECT_EQ(entry.total, 3u);
-  }
   EXPECT_TRUE(saw_hist);
-  EXPECT_TRUE(saw_count);
   registry.reset();
   EXPECT_TRUE(registry.histogram_snapshots().empty());
 }

@@ -1,6 +1,8 @@
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
 
+#include "obs/metrics.hpp"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -136,25 +138,32 @@ TEST(Runtime, NestedParallelRegionsRunInlineWithoutDeadlock) {
   EXPECT_FALSE(runtime::ThreadPool::in_parallel_region());
 }
 
-TEST(Runtime, TaskTimerAccumulatesBusyTime) {
-  runtime::TaskTimer timer;
+TEST(Runtime, PoolCountersAccountTasksAndBusyTime) {
+  const auto counter = [](const char* name) {
+    return obs::MetricsRegistry::global().counter_value(name);
+  };
+  const auto spin = [](std::size_t) {
+    volatile double x = 0.0;
+    for (int k = 0; k < 2000; ++k) x = x + 1.0;
+  };
   runtime::ThreadPool pool(2);
-  {
-    const runtime::ScopedTaskTimer scope(timer);
-    runtime::parallel_for(pool, 0, 256, 16, [](std::size_t) {
-      volatile double x = 0.0;
-      for (int k = 0; k < 2000; ++k) x = x + 1.0;
-    });
-  }
-  EXPECT_GT(timer.busy_seconds(), 0.0);
-  EXPECT_EQ(timer.tasks(), 256u / 16u);
-  // Outside the scope no further accounting happens.
-  const double before = timer.busy_seconds();
-  runtime::parallel_for(pool, 0, 64, 16, [](std::size_t) {});
-  EXPECT_EQ(timer.busy_seconds(), before);
-  timer.reset();
-  EXPECT_EQ(timer.tasks(), 0u);
-  EXPECT_EQ(timer.busy_seconds(), 0.0);
+
+  // A pooled region: every task is counted once and timed.
+  std::uint64_t tasks = counter("runtime.pool.tasks");
+  const std::uint64_t busy = counter("runtime.pool.busy_ns");
+  std::uint64_t serial = counter("runtime.pool.serial_tasks");
+  pool.run(16, spin);
+  EXPECT_EQ(counter("runtime.pool.tasks"), tasks + 16);
+  EXPECT_GT(counter("runtime.pool.busy_ns"), busy);
+  EXPECT_EQ(counter("runtime.pool.serial_tasks"), serial);
+
+  // Regions nested inside a task run inline: they advance serial_tasks
+  // only; the pooled count grows by the two outer tasks alone.
+  tasks = counter("runtime.pool.tasks");
+  serial = counter("runtime.pool.serial_tasks");
+  pool.run(2, [&](std::size_t) { pool.run(8, spin); });
+  EXPECT_EQ(counter("runtime.pool.tasks"), tasks + 2);
+  EXPECT_EQ(counter("runtime.pool.serial_tasks"), serial + 16);
 }
 
 TEST(Runtime, SingleLanePoolAndEmptyRangesWork) {

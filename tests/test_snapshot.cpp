@@ -1,8 +1,9 @@
 // Binary circuit-snapshot contracts (io/snapshot, DESIGN.md §13):
 // write/read round-trip restores a warm engine whose answers are
 // byte-identical to the exporting one with zero eigensolves and zero
-// training epochs; serialization is deterministic (two writes of the same
-// state are byte-identical); and every corruption — truncation, flipped
+// training epochs, with or without a coarsening hierarchy; serialization is
+// deterministic (a file's bytes depend only on the netlist, the GNN options
+// and the config — not on the pool width); and every corruption — truncation, flipped
 // payload bits, wrong magic/version, a foreign endianness probe — fails
 // cleanly with a SnapshotError, a snapshot.read_failures bump, and a
 // "snapshot.corrupt" health event, never a crash or a half-restored
@@ -26,6 +27,7 @@
 #include "gnn/timing_gnn.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -50,11 +52,13 @@ Netlist small_netlist(std::uint64_t seed = 7) {
 /// Trained model + warm engine over one shared netlist, plus the snapshot
 /// metadata the serving layer would record.
 struct WarmCircuit {
-  explicit WarmCircuit(const Netlist& nl, bool exact) : model(nl, gopts()) {
+  WarmCircuit(const Netlist& nl, bool exact, core::CirStagConfig config = {})
+      : model(nl, gopts()) {
     meta.train_r2 = model.train().r2;
     meta.exact = exact;
     core::SweepOptions sopts;
     sopts.exact = exact;
+    sopts.config = std::move(config);
     engine = std::make_unique<core::SweepEngine>(nl, model, sopts);
   }
   static gnn::TimingGnnOptions gopts() {
@@ -162,6 +166,68 @@ TEST(Snapshot, FastModeRoundTripRestoresManifoldBaselines) {
   std::remove(path.c_str());
 }
 
+TEST(Snapshot, RoundTripReusesCoarseningHierarchy) {
+  // Coarsen the small circuit in both eigensolver phases, so the baseline
+  // captures a Phase-3 hierarchy and the file carries its maps.
+  core::CirStagConfig config;
+  for (graphs::CoarsenOptions* c :
+       {&config.embedding.coarsen, &config.stability.coarsen}) {
+    c->auto_threshold = 128;
+    c->coarsest_target = 64;
+  }
+  const Netlist nl = small_netlist(13);
+  ASSERT_GE(nl.num_pins(), 128u);
+  WarmCircuit original(nl, /*exact=*/false, config);
+  EXPECT_GT(obs::MetricsRegistry::global().gauge_value("coarsen.levels"), 0.0);
+  const std::string path = testing::TempDir() + "cirstag_snapshot_hier.bin";
+  io::write_snapshot(path, original.model, *original.engine, original.meta);
+
+  io::SnapshotData data = io::read_snapshot(path, lib());
+  ASSERT_FALSE(data.state.hier0.empty());
+  const Netlist restored_nl = std::move(data.netlist);
+  const std::unique_ptr<gnn::TimingGnn> model =
+      io::restore_model(restored_nl, data);
+  core::SweepOptions sopts;
+  sopts.exact = false;
+  sopts.config = config;
+  core::SweepEngine restored(restored_nl, *model, sopts,
+                             std::move(data.state));
+
+  // Both engines re-aggregate their variant through the baseline maps —
+  // the exporter's captured in memory, the restorer's read from the file —
+  // and agree byte for byte.
+  const std::vector<core::SweepVariant> variants{test_variant(nl)};
+  const std::uint64_t reuses0 = counter("coarsen.hierarchy_reuses");
+  const auto a = original.engine->run(variants);
+  const std::uint64_t reuses1 = counter("coarsen.hierarchy_reuses");
+  EXPECT_GT(reuses1, reuses0);
+  const auto b = restored.run(variants);
+  EXPECT_GT(counter("coarsen.hierarchy_reuses"), reuses1);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a[0].report.node_scores, b[0].report.node_scores);
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, BytesArePureFunctionOfInputs) {
+  // Two independent builds of the same netlist at pool widths 1 and 4:
+  // nothing timing- or thread-dependent may reach the file.
+  const std::size_t width = runtime::global_pool().num_threads();
+  const Netlist nl = small_netlist();
+  std::vector<std::vector<char>> files;
+  for (const std::size_t threads : {1u, 4u}) {
+    runtime::set_global_threads(threads);
+    WarmCircuit warm(nl, /*exact=*/false);
+    const std::string path = testing::TempDir() + "cirstag_snapshot_t" +
+                             std::to_string(threads) + ".bin";
+    io::write_snapshot(path, warm.model, *warm.engine, warm.meta);
+    files.push_back(read_file(path));
+    std::remove(path.c_str());
+  }
+  runtime::set_global_threads(width);
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_EQ(files[0], files[1]);
+}
+
 TEST(Snapshot, SerializationIsDeterministic) {
   const Netlist nl = small_netlist();
   WarmCircuit warm(nl, /*exact=*/true);
@@ -199,6 +265,8 @@ TEST(Snapshot, CorruptCorpusFailsCleanlyWithHealthEvents) {
        [](std::vector<char> b) { std::swap(b[8], b[11]); return b; }},
       {"unsupported format version",
        [](std::vector<char> b) { b[12] = 99; return b; }},
+      {"format version 1 (predates the v2 layout)",
+       [](std::vector<char> b) { b[12] = 1; return b; }},
   };
 
   obs::HealthMonitor::global().set_enabled(true);

@@ -237,11 +237,9 @@ TEST_F(SweepEngineTest, FastModeDriftWithinToleranceCaseA) {
                           naive[i].node_scores),
               kFastScoreDriftTolerance)
         << "variant " << i;
-    // Fast-mode reuse engaged: spectral reuse, and the adaptive Ritz stop
-    // kept the sweep count inside the budget. (kNN deltas are adaptive —
-    // they engage only when a minority of embedding rows moved, which
-    // depends on the perturbed pins' fanout cones.)
-    EXPECT_TRUE(results[i].stats.spectral_reused);
+    // The adaptive Ritz stop kept the sweep count inside the budget. (kNN
+    // deltas are adaptive — they engage only when a minority of embedding
+    // rows moved, which depends on the perturbed pins' fanout cones.)
     EXPECT_GE(results[i].stats.subspace_sweeps, 1u);
     EXPECT_LE(results[i].stats.subspace_sweeps,
               fast_config().stability.subspace_iterations);

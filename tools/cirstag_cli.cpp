@@ -669,11 +669,17 @@ int cmd_analyze(int argc, char** argv) {
 
   std::printf("running CirSTAG...\n");
   const core::CirStag analyzer(cfg);
+  const obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  const std::uint64_t busy_ns0 = metrics.counter_value("runtime.pool.busy_ns");
   const obs::WallTimer analyze_timer;
   const auto report =
       analyzer.analyze(pin_graph(nl), model.base_features(),
                        model.embed(model.base_features()));
   const double analyze_ms = analyze_timer.elapsed_seconds() * 1e3;
+  const double busy_s =
+      static_cast<double>(metrics.counter_value("runtime.pool.busy_ns") -
+                          busy_ns0) *
+      1e-9;
   std::printf("  DMD spectrum head: %.4g %.4g %.4g\n", report.eigenvalues[0],
               report.eigenvalues[1], report.eigenvalues[2]);
   std::printf("  timings: embed %.2fs manifold %.2fs stability %.2fs "
@@ -681,7 +687,7 @@ int cmd_analyze(int argc, char** argv) {
               report.timings.embedding_seconds,
               report.timings.manifold_seconds,
               report.timings.stability_seconds, report.timings.threads,
-              report.timings.total_busy());
+              busy_s);
 
   const auto top = opt_size(opts, "top", 10);
   std::vector<std::size_t> order(nl.num_pins());
